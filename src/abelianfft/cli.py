@@ -15,6 +15,7 @@ from .groups import AbelianGroup, parse_group_spec
 from .period import FunctionTable, find_period, two_to_one_table
 from .qft_circuit import REORDER_MODES, compile_qft
 from .simulator import (
+    _complex_from_json,
     measure_qubit_distribution,
     program_from_json,
     program_to_json,
@@ -43,12 +44,7 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
 def _vector_from_json(obj: object, length: int) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != length:
         raise ValueError(f"input vector must be a list of {length} [re, im] pairs")
-    out = np.empty(length, dtype=np.complex128)
-    for i, entry in enumerate(obj):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ValueError(f"vector entry {i} is {entry!r}, expected a [re, im] pair")
-        out[i] = complex(float(entry[0]), float(entry[1]))
-    return out
+    return np.array([_complex_from_json(entry) for entry in obj], dtype=np.complex128)
 
 
 def _vector_to_json(vec: np.ndarray) -> list[list[float]]:
@@ -68,14 +64,6 @@ def _load_json(path: str) -> object:
         return json.load(handle)
 
 
-def _is_boolean_group(group: AbelianGroup) -> bool:
-    return all(m == 2 for m in group.moduli)
-
-
-def _is_power_of_two_cycle(group: AbelianGroup) -> bool:
-    return group.rank == 1 and group.order > 1 and group.order & (group.order - 1) == 0
-
-
 def _run_method(group: AbelianGroup, method: str, vec: np.ndarray) -> tuple[np.ndarray, dict]:
     if method == "dense":
         spectrum = apply_dense(group, vec, cap=max(DENSE_CAP, group.order))
@@ -91,13 +79,13 @@ def _run_method(group: AbelianGroup, method: str, vec: np.ndarray) -> tuple[np.n
         spectrum, report = fft_tower(group, build_tower(group), vec)
         counts = _counts_to_json(report)
     elif method == "radix2":
-        if not _is_power_of_two_cycle(group):
+        if not group.is_cyclic_power_of_two:
             raise ValueError(f"radix2 method needs a cyclic group of order 2^n, got {group.spec_string()}")
         n = (group.order - 1).bit_length()
         spectrum, report = fft_radix2(n, vec)
         counts = _counts_to_json(report)
     elif method == "walsh":
-        if not _is_boolean_group(group):
+        if not group.is_boolean:
             raise ValueError(f"walsh method needs a product of Z2 factors, got {group.spec_string()}")
         n = group.rank
         spectrum = walsh_hadamard(n, vec)
@@ -189,6 +177,8 @@ def _format_qft_text(payload: dict) -> str:
 def _function_from_json(obj: object) -> FunctionTable:
     if not isinstance(obj, dict) or "group" not in obj or "values" not in obj:
         raise ValueError('function table needs "group" and "values" fields')
+    if not isinstance(obj["group"], str):
+        raise ValueError(f'function table field "group" must be a string, got {obj["group"]!r}')
     group = parse_group_spec(obj["group"])
     values = obj["values"]
     if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
@@ -286,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON result to this file instead of stdout")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (fixed default)")
-        p.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance for checks")
 
     p_fft = sub.add_parser("fft", help="transform a vector over a group")
     p_fft.add_argument("--group", required=True, help='group description, e.g. "Z4", "Z2xZ3", "Z2^3"')

@@ -94,10 +94,6 @@ def fourier_basis_state(group: AbelianGroup, k: int | Sequence[int]) -> np.ndarr
 def shift_vector(group: AbelianGroup, k: int | Sequence[int], f: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Permute components by translation: out[g + k] = f[g].  Exact, no arithmetic on values."""
     vec = _as_vector(f, group.order)
-    coords = np.asarray(_coords(group, k), dtype=np.int64)
-    moduli = np.asarray(group.moduli, dtype=np.int64)
-    weights = np.asarray(group.weights, dtype=np.int64)
-    shifted = ((group.coords_table + coords) % moduli) @ weights
     out = np.empty_like(vec)
-    out[shifted] = vec
+    out[group.translate(np.arange(group.order), group.index_of(_coords(group, k)))] = vec
     return out

@@ -93,12 +93,9 @@ def build_tower(group: AbelianGroup) -> SubgroupTower:
 
 
 def _multiples_subgroup(group: AbelianGroup, divisors: Sequence[int]) -> tuple[int, ...]:
-    # Member indices of the subgroup d_1 Z_m1 x ... x d_r Z_mr.
-    axes = [np.arange(0, m, d, dtype=np.int64) for m, d in zip(group.moduli, divisors)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    weights = np.asarray(group.weights, dtype=np.int64)
-    idx = sum(g.ravel() * w for g, w in zip(grid, weights))
-    return tuple(int(i) for i in np.sort(idx))
+    # Member indices of the subgroup d_1 Z_m1 x ... x d_r Z_mr: each coordinate divisible by its d_i.
+    divisible = np.all(group.coords_table % np.asarray(divisors, dtype=np.int64) == 0, axis=1)
+    return tuple(np.flatnonzero(divisible).tolist())
 
 
 def predict_cost(order: int, suborder: int) -> int:
@@ -108,19 +105,6 @@ def predict_cost(order: int, suborder: int) -> int:
     if order % suborder != 0:
         raise ValueError(f"subgroup order {suborder} does not divide group order {order}")
     return order * (suborder + order // suborder)
-
-
-def _cosets_within(group: AbelianGroup, parent_members: Sequence[int], child_set: frozenset[int]) -> list[int]:
-    # Minimal representative of each coset of the child subgroup inside the parent subgroup.
-    reps: list[int] = []
-    assigned: set[int] = set()
-    for e in parent_members:
-        if e in assigned:
-            continue
-        reps.append(e)
-        for h in child_set:
-            assigned.add(group.add_index(e, h))
-    return reps
 
 
 def _char_matrix(group: AbelianGroup, labels: Sequence[int], args: Sequence[int]) -> np.ndarray:
@@ -141,9 +125,8 @@ class _TowerPlan:
     """
 
     def __init__(self, group: AbelianGroup, tower: SubgroupTower) -> None:
-        self.group = group
         self.depth = len(tower.levels)
-        member_lists = [tuple(range(group.order))] + [level.members for level in tower.levels]
+        member_lists = [np.arange(group.order)] + [level.members for level in tower.levels]
 
         # Label classes per level: level 0 is the full group, one class per label.
         class_reps: list[np.ndarray] = [np.arange(group.order, dtype=np.int64)]
@@ -154,12 +137,13 @@ class _TowerPlan:
             class_reps.append(np.asarray(dec.representatives, dtype=np.int64))
             class_of.append(np.asarray(dec.coset_of))
 
-        self.coset_reps: list[list[int]] = []
+        self.coset_reps: list[np.ndarray] = []
         self.twiddles: list[np.ndarray] = []
         self.child_class: list[np.ndarray] = []
         for j in range(self.depth):
-            child = tower.levels[j]
-            reps = _cosets_within(group, member_lists[j], child.member_set)
+            # Minimal representative of each coset of the child level inside level j.
+            reps = np.asarray(coset_decompose(group, tower.levels[j]).representatives, dtype=np.int64)
+            reps = reps[np.isin(reps, member_lists[j])]
             self.coset_reps.append(reps)
             self.twiddles.append(_char_matrix(group, class_reps[j], reps))
             self.child_class.append(class_of[j + 1][class_reps[j]])
@@ -167,15 +151,6 @@ class _TowerPlan:
         base = tower.levels[-1]
         self.base_members = np.asarray(base.members, dtype=np.int64)
         self.base_table = _char_matrix(group, class_reps[self.depth], base.members)
-
-        # Element indices of shifted member sets are gathered with vectorised coordinate math.
-        self._moduli = np.asarray(group.moduli, dtype=np.int64)
-        self._weights = np.asarray(group.weights, dtype=np.int64)
-        self._base_coords = group.coords_table[self.base_members]
-
-    def shifted_base_indices(self, shift: int) -> np.ndarray:
-        coords = np.asarray(self.group.coords_of(shift), dtype=np.int64)
-        return ((self._base_coords + coords) % self._moduli) @ self._weights
 
 
 def fft_tower(
@@ -197,14 +172,14 @@ def fft_tower(
     def recurse(depth: int, shift: int) -> np.ndarray:
         nonlocal mults, adds
         if depth == plan.depth:
-            values = vec[plan.shifted_base_indices(shift)]
+            values = vec[group.translate(plan.base_members, shift)]
             out = plan.base_table @ values
             k = len(values)
             mults += k * k
             adds += k * (k - 1)
             return out
         reps = plan.coset_reps[depth]
-        children = np.stack([recurse(depth + 1, group.add_index(shift, r)) for r in reps])
+        children = np.stack([recurse(depth + 1, child) for child in group.translate(reps, shift)])
         gathered = children[:, plan.child_class[depth]]
         out = np.sum(plan.twiddles[depth] * gathered.T, axis=1)
         mults += out.size * len(reps)

@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import gcd, prod
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd, lcm, prod
+from typing import Iterable, Sequence
 
 import numpy as np
 
 Coords = tuple[int, ...]
+Indices = int | Sequence[int] | np.ndarray
 
 # Element indices must fit in a signed 64-bit integer so numpy index math stays exact.
 MAX_ORDER = 2**63 - 1
@@ -59,10 +60,7 @@ class AbelianGroup:
     @cached_property
     def lcm(self) -> int:
         """Least common multiple of the factor orders: every character is an lcm-th root of unity."""
-        acc = 1
-        for m in self.moduli:
-            acc = acc * m // gcd(acc, m)
-        return acc
+        return lcm(*self.moduli)
 
     @cached_property
     def char_weights(self) -> Coords:
@@ -72,10 +70,7 @@ class AbelianGroup:
     @cached_property
     def coords_table(self) -> np.ndarray:
         """Coordinates of every element by index, shape (order, rank).  Read-only."""
-        table = np.empty((self.order, self.rank), dtype=np.int64)
-        idx = np.arange(self.order, dtype=np.int64)
-        for i, (m, w) in enumerate(zip(self.moduli, self.weights)):
-            table[:, i] = (idx // w) % m
+        table = self._coords(np.arange(self.order, dtype=np.int64))
         table.setflags(write=False)
         return table
 
@@ -106,15 +101,60 @@ class AbelianGroup:
         a = self.validate_coords(a)
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
+    @cached_property
+    def _radix(self) -> tuple[np.ndarray, np.ndarray]:
+        # Moduli and place values as int64 arrays, matched to a trailing coordinate axis.
+        return np.asarray(self.moduli, dtype=np.int64), np.asarray(self.weights, dtype=np.int64)
+
+    def _coords(self, indices: Indices) -> np.ndarray:
+        # Coordinates of each index along a new last axis; rejects non-integer or out-of-range input.
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"element indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.order):
+            outside = idx[(idx < 0) | (idx >= self.order)]
+            raise ValueError(f"element index {outside[0]} out of range for group of order {self.order}")
+        moduli, weights = self._radix
+        return (idx[..., None] // weights) % moduli
+
+    def translate(self, indices: Indices, shift: Indices) -> np.ndarray:
+        """Indices of the sums indices + shift, elementwise with numpy broadcasting.
+
+        Raises ValueError on non-integer or out-of-range indices instead of letting
+        numpy wrap negative ones.
+        """
+        moduli, _ = self._radix
+        # a - (m - b) keeps every intermediate inside int64 even for moduli near 2**63.
+        return self._index(self._coords(indices) - (moduli - self._coords(shift)))
+
+    def negate(self, indices: Indices) -> np.ndarray:
+        """Indices of the inverses -indices, elementwise, validated as in translate."""
+        moduli, _ = self._radix
+        return self._index(moduli - self._coords(indices))
+
+    def _index(self, coords: np.ndarray) -> np.ndarray:
+        # Element indices of coordinates on the last axis, reduced modulo the factor orders.
+        moduli, weights = self._radix
+        return (coords % moduli) @ weights
+
     def add_index(self, i: int, j: int) -> int:
-        return self.index_of(self.add(self.coords_of(i), self.coords_of(j)))
+        """Validated scalar form of translate."""
+        return int(self.translate(i, j))
 
     def neg_index(self, i: int) -> int:
-        return self.index_of(self.neg(self.coords_of(i)))
+        """Validated scalar form of negate."""
+        return int(self.negate(i))
 
-    def elements(self) -> Iterator[Coords]:
-        for i in range(self.order):
-            yield self.coords_of(i)
+    @property
+    def is_cyclic_power_of_two(self) -> bool:
+        """True for Z_(2^n) with n >= 1."""
+        return self.rank == 1 and self.order > 1 and self.order & (self.order - 1) == 0
+
+    @property
+    def is_boolean(self) -> bool:
+        """True for a product of Z2 factors."""
+        return all(m == 2 for m in self.moduli)
 
     def spec_string(self) -> str:
         return "x".join(f"Z{m}" for m in self.moduli)
@@ -148,16 +188,6 @@ def parse_group_spec(text: str) -> AbelianGroup:
     return make_group(moduli)
 
 
-def element_add(group: AbelianGroup, a: Sequence[int], b: Sequence[int]) -> Coords:
-    """Componentwise sum a + b reduced modulo the factor orders."""
-    return group.add(a, b)
-
-
-def element_neg(group: AbelianGroup, a: Sequence[int]) -> Coords:
-    """The inverse -a reduced modulo the factor orders."""
-    return group.neg(a)
-
-
 def character_phase(group: AbelianGroup, label: Sequence[int], arg: Sequence[int]) -> int:
     """Integer numerator p in [0, lcm) such that chi_label(arg) = exp(2 pi i p / lcm)."""
     label = group.validate_coords(label)
@@ -173,16 +203,25 @@ def character_eval(group: AbelianGroup, label: Sequence[int], arg: Sequence[int]
     return complex(np.exp(2j * np.pi * character_phase(group, label, arg) / group.lcm))
 
 
-def character_is_trivial_on(group: AbelianGroup, label: Sequence[int], arg: Sequence[int]) -> bool:
-    """Exact test of chi_label(arg) == 1, done in integer arithmetic."""
-    return character_phase(group, label, arg) == 0
-
-
 def character_phases(group: AbelianGroup, label: int | Sequence[int]) -> np.ndarray:
     """Integer phase numerators of chi_label over every element, in index order."""
     coords = group.coords_of(label) if isinstance(label, (int, np.integer)) else group.validate_coords(label)
     mult = np.array([c * w for c, w in zip(coords, group.char_weights)], dtype=np.int64)
     return (group.coords_table @ mult) % group.lcm
+
+
+def _mask_of(group: AbelianGroup, indices: Iterable[int] | np.ndarray) -> np.ndarray:
+    mask = np.zeros(group.order, dtype=bool)
+    mask[np.asarray(indices, dtype=np.int64)] = True
+    return mask
+
+
+def _annihilated_mask(group: AbelianGroup, labels: Iterable[int]) -> np.ndarray:
+    # Mask of the elements x with chi_l(x) = 1 for every given label l, in exact integer arithmetic.
+    mask = np.ones(group.order, dtype=bool)
+    for label in labels:
+        mask &= character_phases(group, label) == 0
+    return mask
 
 
 @dataclass(frozen=True)
@@ -191,27 +230,31 @@ class Subgroup:
 
     parent: AbelianGroup
     members: tuple[int, ...]
+    # Greedy generators, found while checking closure.
+    _generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = tuple(sorted(set(int(i) for i in self.members)))
         object.__setattr__(self, "members", members)
         if not members:
             raise ValueError("a subgroup cannot be empty")
-        for i in members:
+        for i in (members[0], members[-1]):
             if not 0 <= i < self.parent.order:
                 raise ValueError(f"member index {i} out of range for group of order {self.parent.order}")
         if members[0] != 0:
             raise ValueError("a subgroup must contain the identity element 0")
-        member_set = frozenset(members)
-        for i in members:
-            if self.parent.neg_index(i) not in member_set:
-                raise ValueError(f"member {i} has no inverse in the set: not closed under negation")
-        closure = _closure(self.parent, (g for g in members))
-        if closure != member_set:
-            missing = sorted(closure - member_set)[:4]
+        idx = np.asarray(members, dtype=np.int64)
+        mask = _mask_of(self.parent, idx)
+        lacking = idx[~mask[self.parent.negate(idx)]]
+        if lacking.size:
+            raise ValueError(f"member {lacking[0]} has no inverse in the set: not closed under negation")
+        gens, closure = _greedy_closure(self.parent, mask)
+        if not np.array_equal(closure, mask):
+            missing = np.flatnonzero(closure & ~mask)[:4].tolist()
             raise ValueError(f"member set is not closed under addition (missing {missing})")
         if self.parent.order % len(members) != 0:
             raise ValueError(f"subgroup size {len(members)} does not divide group order {self.parent.order}")
+        object.__setattr__(self, "_generators", tuple(gens))
 
     @cached_property
     def order(self) -> int:
@@ -226,37 +269,38 @@ class Subgroup:
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set of member indices, chosen greedily."""
-        gens: list[int] = []
-        have: set[int] = {0}
-        for i in self.members:
-            if i not in have:
-                gens.append(i)
-                have = _extend_closure(self.parent, have, i)
-        return tuple(gens)
+        return self._generators
 
 
-def _extend_closure(group: AbelianGroup, members: set[int], gen: int) -> set[int]:
-    # Closure of members + {gen} when members is already closed: union of shifts by multiples of gen.
-    out = set(members)
-    shift = gen
-    while shift != 0:
-        out.update(group.add_index(x, shift) for x in members)
-        shift = group.add_index(shift, gen)
-    return out
+def _extend_closure(group: AbelianGroup, mask: np.ndarray, gen: int) -> None:
+    # Closure of a subgroup mask H and gen, in place: H + {0 .. 2^s - 1} gen doubles each step
+    # until a shift adds nothing, which happens once 2^s reaches the index of gen modulo H.
+    step = gen
+    while True:
+        shifted = group.translate(np.flatnonzero(mask), step)
+        if mask[shifted].all():
+            return
+        mask[shifted] = True
+        step = group.translate(step, step)
 
 
-def _closure(group: AbelianGroup, gens: Iterable[int]) -> set[int]:
-    out: set[int] = {0}
-    for g in gens:
-        if g not in out:
-            out = _extend_closure(group, out, g)
-    return out
+def _greedy_closure(group: AbelianGroup, candidates: np.ndarray) -> tuple[list[int], np.ndarray]:
+    # Greedy generators of the candidate mask (each the smallest candidate outside the closure
+    # so far) and the mask of their closure.
+    closure = _mask_of(group, [0])
+    gens: list[int] = []
+    while True:
+        pending = np.flatnonzero(candidates & ~closure)
+        if not pending.size:
+            return gens, closure
+        gens.append(int(pending[0]))
+        _extend_closure(group, closure, gens[-1])
 
 
 def subgroup_from_generators(group: AbelianGroup, generators: Iterable[Sequence[int]]) -> Subgroup:
     """The smallest subgroup containing the given elements (coordinate tuples)."""
-    idxs = [group.index_of(g) for g in generators]
-    return Subgroup(group, tuple(sorted(_closure(group, idxs))))
+    _, closure = _greedy_closure(group, _mask_of(group, [group.index_of(g) for g in generators]))
+    return Subgroup(group, tuple(np.flatnonzero(closure).tolist()))
 
 
 def trivial_subgroup(group: AbelianGroup) -> Subgroup:
@@ -286,23 +330,24 @@ def coset_decompose(group: AbelianGroup, subgroup: Subgroup) -> CosetDecompositi
     """Partition the group into cosets of the subgroup."""
     if subgroup.parent != group:
         raise ValueError("subgroup belongs to a different group")
-    coset_of = np.full(group.order, -1, dtype=np.int64)
-    slot_of = np.full(group.order, -1, dtype=np.int64)
-    reps: list[int] = []
-    for e in range(group.order):
-        if coset_of[e] >= 0:
-            continue
-        c = len(reps)
-        reps.append(e)
-        for slot, h in enumerate(subgroup.members):
-            x = group.add_index(e, h)
-            if coset_of[x] >= 0:
-                raise ValueError("coset overlap: member set is not a subgroup")
-            coset_of[x] = c
-            slot_of[x] = slot
+    elements = np.arange(group.order, dtype=np.int64)
+    # rep[e] = min(e + H): fold each generator's cycle in by doubling the window of multiples.
+    rep = elements
+    for gen in subgroup.generators():
+        cycle = lcm(*(m // gcd(c, m) for c, m in zip(group.coords_of(gen), group.moduli)))
+        step, window = group.translate(elements, gen), 1
+        while window < cycle:
+            rep = np.minimum(rep, rep[step])
+            step, window = step[step], 2 * window
+    representatives, coset_of = np.unique(rep, return_inverse=True)
+    offsets = group.translate(elements, group.negate(rep))
+    members = np.asarray(subgroup.members, dtype=np.int64)
+    slot_of = np.minimum(np.searchsorted(members, offsets), len(members) - 1)
+    if len(representatives) * len(members) != group.order or not np.array_equal(members[slot_of], offsets):
+        raise ValueError("coset overlap: member set is not a subgroup")
     coset_of.setflags(write=False)
     slot_of.setflags(write=False)
-    return CosetDecomposition(group, subgroup, tuple(reps), coset_of, slot_of)
+    return CosetDecomposition(group, subgroup, tuple(representatives.tolist()), coset_of, slot_of)
 
 
 def annihilator(group: AbelianGroup, elements: Subgroup | Iterable[int]) -> Subgroup:
@@ -317,30 +362,25 @@ def annihilator(group: AbelianGroup, elements: Subgroup | Iterable[int]) -> Subg
         idxs: Iterable[int] = elements.generators()
     else:
         idxs = sorted(set(int(i) for i in elements))
-    mask = np.ones(group.order, dtype=bool)
-    for e in idxs:
-        mask &= character_phases(group, e) == 0
-    members = tuple(int(i) for i in np.nonzero(mask)[0])
-    return Subgroup(group, members)
+    return Subgroup(group, tuple(np.flatnonzero(_annihilated_mask(group, idxs)).tolist()))
 
 
 def enumerate_subgroups(group: AbelianGroup) -> list[Subgroup]:
     """Every subgroup, found by closure extension layer by layer.  Desk-scale orders only."""
-    seen: dict[tuple[int, ...], Subgroup] = {}
     trivial = trivial_subgroup(group)
-    seen[trivial.members] = trivial
+    seen: dict[bytes, Subgroup] = {_mask_of(group, [0]).tobytes(): trivial}
     frontier = [trivial]
     while frontier:
         next_frontier: list[Subgroup] = []
         for sub in frontier:
-            base = set(sub.members)
-            for g in range(1, group.order):
-                if g in base:
-                    continue
-                closure = tuple(sorted(_extend_closure(group, base, g)))
-                if closure not in seen:
-                    bigger = Subgroup(group, closure)
-                    seen[closure] = bigger
+            base = _mask_of(group, sub.members)
+            for g in np.flatnonzero(~base).tolist():
+                closure = base.copy()
+                _extend_closure(group, closure, g)
+                key = closure.tobytes()
+                if key not in seen:
+                    bigger = Subgroup(group, tuple(np.flatnonzero(closure).tolist()))
+                    seen[key] = bigger
                     next_frontier.append(bigger)
         frontier = next_frontier
     return sorted(seen.values(), key=lambda s: (s.order, s.members))

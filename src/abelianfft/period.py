@@ -26,7 +26,7 @@ from .dense import apply_dense
 from .groups import (
     AbelianGroup,
     Subgroup,
-    character_phases,
+    _annihilated_mask,
     coset_decompose,
     full_subgroup,
 )
@@ -72,14 +72,10 @@ def stabilizer_bruteforce(f: FunctionTable) -> Subgroup:
     """All k with f(k + g) = f(g) for every g, by direct comparison."""
     group = f.group
     values = np.asarray(f.values, dtype=np.int64)
-    table = group.coords_table
-    moduli = np.asarray(group.moduli, dtype=np.int64)
-    weights = np.asarray(group.weights, dtype=np.int64)
-    members = []
-    for k in range(group.order):
-        shifted = ((table + table[k]) % moduli) @ weights
-        if np.array_equal(values[shifted], values):
-            members.append(k)
+    elements = np.arange(group.order)
+    # g = 0 shows that f(k) = f(0) is necessary, so only those k are compared in full.
+    candidates = np.flatnonzero(values == values[0]).tolist()
+    members = [k for k in candidates if np.array_equal(values[group.translate(elements, k)], values)]
     return Subgroup(group, tuple(members))
 
 
@@ -115,22 +111,32 @@ def build_function_state(f: FunctionTable) -> QState:
     return QState(group_bits + value_bits, amps)
 
 
+def _nondegenerate_stabilizer(f: FunctionTable) -> Subgroup:
+    # Sampling is only sound when the surviving state is a coset of the stabiliser.
+    stabilizer = stabilizer_bruteforce(f)
+    if not check_nondegenerate(f, stabilizer):
+        raise ValueError("function table is degenerate: equal values on distinct stabiliser cosets")
+    return stabilizer
+
+
+def _read_value_register(f: FunctionTable, state: QState, rng: np.random.Generator) -> tuple[int, QState]:
+    # Collapse the value register of the function state; return the value and the group register.
+    group_bits, value_bits = _register_widths(f)
+    outcome, post = collapse_register(state, range(group_bits, group_bits + value_bits), rng)
+    observed = int(outcome, 2)
+    offset = observed << group_bits
+    register = post.amps[offset : offset + (1 << group_bits)]
+    return observed, QState(group_bits, register)
+
+
 def sample_coset_state(f: FunctionTable, rng: np.random.Generator) -> tuple[int, QState]:
     """Read the value register; returns the observed value and the surviving group-register state.
 
     Degenerate tables (equal values on distinct cosets) are rejected: the
     surviving state would not be a coset of the stabiliser.
     """
-    stabilizer = stabilizer_bruteforce(f)
-    if not check_nondegenerate(f, stabilizer):
-        raise ValueError("function table is degenerate: equal values on distinct stabiliser cosets")
-    group_bits, value_bits = _register_widths(f)
-    state = build_function_state(f)
-    outcome, post = collapse_register(state, range(group_bits, group_bits + value_bits), rng)
-    observed = int(outcome, 2)
-    offset = observed << group_bits
-    register = post.amps[offset : offset + (1 << group_bits)]
-    return observed, QState(group_bits, register)
+    _nondegenerate_stabilizer(f)
+    return _read_value_register(f, build_function_state(f), rng)
 
 
 def _group_vector(state: QState | Sequence[complex] | np.ndarray, group: AbelianGroup) -> np.ndarray:
@@ -146,10 +152,6 @@ def _group_vector(state: QState | Sequence[complex] | np.ndarray, group: Abelian
     raise ValueError(f"state has length {amps.shape}, expected {group.order} (possibly padded)")
 
 
-def _is_power_of_two_cycle(group: AbelianGroup) -> bool:
-    return group.rank == 1 and group.order & (group.order - 1) == 0 and group.order > 1
-
-
 def fourier_sample(
     coset_state: QState | Sequence[complex] | np.ndarray,
     group: AbelianGroup,
@@ -163,13 +165,12 @@ def fourier_sample(
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"group register norm {norm!r} is not 1")
-    if _is_power_of_two_cycle(group):
+    if group.is_cyclic_power_of_two:
         n = (group.order - 1).bit_length()
         spectrum = apply_qft(QState(n, vec)).amps
     else:
         spectrum = apply_dense(group, vec)
     probs = np.abs(spectrum) ** 2
-    probs = np.where(probs < 0, 0.0, probs)
     probs /= probs.sum()
     return [int(l) for l in rng.choice(group.order, size=shots, p=probs)]
 
@@ -181,8 +182,7 @@ def label_distribution(group: AbelianGroup, stabilizer: Subgroup) -> np.ndarray:
     vec = np.zeros(group.order, dtype=np.complex128)
     vec[list(stabilizer.members)] = 1.0 / np.sqrt(stabilizer.order)
     spectrum = apply_dense(group, vec, cap=max(EXACT_CAP, group.order))
-    probs = np.abs(spectrum) ** 2
-    return np.where(probs < 0, 0.0, probs)
+    return np.abs(spectrum) ** 2
 
 
 def reconstruct_subgroup(group: AbelianGroup, labels: Sequence[int]) -> Subgroup:
@@ -194,10 +194,7 @@ def reconstruct_subgroup(group: AbelianGroup, labels: Sequence[int]) -> Subgroup
     if not distinct:
         warnings.warn("no labels observed: reconstruction is the whole group", stacklevel=2)
         return full_subgroup(group)
-    mask = np.ones(group.order, dtype=bool)
-    for l in distinct:
-        mask &= character_phases(group, l) == 0
-    return Subgroup(group, tuple(int(i) for i in np.nonzero(mask)[0]))
+    return Subgroup(group, tuple(np.flatnonzero(_annihilated_mask(group, distinct)).tolist()))
 
 
 def find_period(
@@ -217,16 +214,16 @@ def find_period(
     if max_shots < 1:
         raise ValueError(f"shot budget {max_shots} must be positive")
     group = f.group
+    if mode == "exact" and group.order > EXACT_CAP:
+        raise ValueError(f"group order {group.order} exceeds the exact-mode cap {EXACT_CAP}")
+    if mode == "simulate" and group.order > SIMULATE_CAP:
+        raise ValueError(f"group order {group.order} exceeds the simulation cap {SIMULATE_CAP}")
+    stabilizer = _nondegenerate_stabilizer(f)
     if mode == "exact":
-        if group.order > EXACT_CAP:
-            raise ValueError(f"group order {group.order} exceeds the exact-mode cap {EXACT_CAP}")
-        stabilizer = stabilizer_bruteforce(f)
-        if not check_nondegenerate(f, stabilizer):
-            raise ValueError("function table is degenerate: equal values on distinct stabiliser cosets")
         probs = label_distribution(group, stabilizer)
         probs = probs / probs.sum()
-    elif group.order > SIMULATE_CAP:
-        raise ValueError(f"group order {group.order} exceeds the simulation cap {SIMULATE_CAP}")
+    else:
+        state = build_function_state(f)
 
     labels: list[int] = []
     mask = np.ones(group.order, dtype=bool)
@@ -237,15 +234,15 @@ def find_period(
         if mode == "exact":
             label = int(rng.choice(group.order, p=probs))
         else:
-            _, register = sample_coset_state(f, rng)
+            _, register = _read_value_register(f, state, rng)
             label = fourier_sample(register, group, 1, rng)[0]
         labels.append(label)
         samples += 1
-        mask &= character_phases(group, label) == 0
+        mask &= _annihilated_mask(group, (label,))
         remaining = int(mask.sum())
         streak = streak + 1 if remaining == survivors else 0
         survivors = remaining
-    subgroup = Subgroup(group, tuple(int(i) for i in np.nonzero(mask)[0]))
+    subgroup = Subgroup(group, tuple(np.flatnonzero(mask).tolist()))
     return StabilizerResult(subgroup, samples, tuple(labels), streak >= window)
 
 

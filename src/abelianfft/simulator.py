@@ -7,7 +7,7 @@ All randomness comes from an explicitly passed numpy Generator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -185,7 +185,6 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:
     p = np.abs(amps) ** 2
-    p = np.where(p < 0, 0.0, p)
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
@@ -224,7 +223,6 @@ def collapse_register(state: QState, qubits: Iterable[int], rng: np.random.Gener
     p = _probabilities(state.amps)
     width = len(qs)
     outcome_probs = np.bincount(values, weights=p, minlength=1 << width)
-    outcome_probs = np.where(outcome_probs < 0, 0.0, outcome_probs)
     outcome_probs /= outcome_probs.sum()
     outcome = int(rng.choice(1 << width, p=outcome_probs))
     keep = values == outcome
@@ -247,11 +245,14 @@ def sample(state: QState, shots: int, rng: np.random.Generator) -> dict[str, int
 def _complex_from_json(entry: object) -> complex:
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise ValueError(f"complex entry {entry!r} must be a [re, im] pair")
-    return complex(float(entry[0]), float(entry[1]))
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except TypeError:
+        raise ValueError(f"complex entry {entry!r} must hold two real numbers") from None
 
 
 def _matrix_from_json(rows: object) -> np.ndarray:
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix must be a list of rows")
     return np.array([[_complex_from_json(e) for e in row] for row in rows], dtype=np.complex128)
 
@@ -274,6 +275,8 @@ def program_from_json(obj: Mapping) -> Program:
     n = obj["n"]
     if not isinstance(n, int):
         raise ValueError(f'program field "n" must be an integer, got {n!r}')
+    if not isinstance(obj["steps"], (list, tuple)):
+        raise ValueError(f'program field "steps" must be a list, got {obj["steps"]!r}')
     steps: list[Gate] = []
     for pos, step in enumerate(obj["steps"]):
         if not isinstance(step, Mapping):

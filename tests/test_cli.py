@@ -162,6 +162,34 @@ def test_simulate_rejects_bad_program(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+_RAW_NULL_ENTRY = {"n": 1, "steps": [{"matrix": [[[1, None], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, flag, document",
+    [
+        (["fft", "--group", "Z2"], "--input", [[1, None], [0, 0]]),
+        (["simulate"], "--program", _RAW_NULL_ENTRY),
+        (["simulate"], "--program", {"n": 1, "steps": 5}),
+        (["simulate"], "--program", {"n": 1, "steps": [{"matrix": [1, 2], "targets": [0]}]}),
+        (["period-find"], "--function", {"group": 5, "values": [0]}),
+    ],
+    ids=[
+        "vector null entry",
+        "raw matrix null entry",
+        "steps not a list",
+        "matrix row not a list",
+        "group not a string",
+    ],
+)
+def test_malformed_json_is_a_domain_error(tmp_path, capsys, argv, flag, document):
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(document))
+    code, out, err = _run(capsys, *argv, flag, str(source))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_qft_compile_json(capsys):
     payload = _run_json(capsys, "qft-compile", "--m", "3")
     _validator("qft-compile.schema.json").validate(payload)

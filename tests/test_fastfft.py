@@ -141,6 +141,32 @@ def test_tower_linearity_and_norm():
     assert np.linalg.norm(fu) == pytest.approx(np.linalg.norm(u), abs=1e-10)
 
 
+# (moduli, complex multiplies, complex adds) of the transform over build_tower's tower.
+_PINNED_TALLIES = [
+    ((256,), 4608, 2048),
+    ((2,) * 7, 2048, 896),
+    ((4, 9, 5), 3060, 1800),
+    ((1024,), 22528, 10240),
+    ((2,) * 8, 4608, 2048),
+    ((8, 9, 5), 6840, 3960),
+    ((4096,), 106496, 49152),
+    ((2,) * 12, 106496, 49152),
+]
+
+
+@pytest.mark.parametrize("moduli, mults, adds", _PINNED_TALLIES, ids=lambda v: str(v))
+def test_tower_tallies_pinned_and_spectrum_matches_dense(moduli, mults, adds):
+    group = make_group(moduli)
+    tower = build_tower(group)
+    vec = random_vector(group.order, np.random.default_rng(group.order))
+    out, report = fft_tower(group, tower, vec)
+    assert (report.complex_multiplies, report.complex_adds) == (mults, adds)
+    # Closed form: index multiplies per element at each level, plus the leaves and the final scale.
+    assert mults == group.order * (sum(tower.indices) + 2)
+    assert adds == group.order * sum(index - 1 for index in tower.indices)
+    assert np.max(np.abs(out - apply_dense(group, vec))) < 1e-9
+
+
 def test_predict_cost_values():
     assert predict_cost(16, 8) == 160
     assert predict_cost(64, 8) == 1024

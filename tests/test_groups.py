@@ -9,8 +9,6 @@ from abelianfft import (
     character_eval,
     character_phase,
     coset_decompose,
-    element_add,
-    element_neg,
     enumerate_subgroups,
     make_group,
     parse_group_spec,
@@ -31,9 +29,51 @@ def test_mixed_radix_indexing_first_factor_most_significant():
 
 def test_add_neg_roundtrip():
     g = make_group([4, 3])
-    assert element_add(g, (3, 2), (2, 2)) == (1, 1)
-    assert element_neg(g, (1, 2)) == (3, 1)
-    assert element_add(g, (1, 2), element_neg(g, (1, 2))) == (0, 0)
+    assert g.add((3, 2), (2, 2)) == (1, 1)
+    assert g.neg((1, 2)) == (3, 1)
+    assert g.add((1, 2), g.neg((1, 2))) == (0, 0)
+
+
+def test_translate_and_negate_broadcast():
+    g = make_group([4, 3])
+    assert g.translate([[1, 2], [3, 4]], 5).tolist() == [[3, 4], [8, 6]]
+    assert g.translate(np.arange(12)[:, None], np.arange(12)).shape == (12, 12)
+    assert g.negate([1, 5, 0]).tolist() == [2, 10, 0]
+    assert g.add_index(4, 5) == 6 and g.neg_index(5) == 10
+
+
+def test_translate_rejects_bad_indices():
+    g = make_group([4, 3])
+    for bad in (-1, 12, [0, -3], 1.5, True, 2**70):
+        with pytest.raises(ValueError):
+            g.translate(bad, 0)
+        with pytest.raises(ValueError):
+            g.translate(0, bad)
+        with pytest.raises(ValueError):
+            g.negate(bad)
+        with pytest.raises(ValueError):
+            g.add_index(bad, 0)
+
+
+def test_translate_exact_for_moduli_near_the_index_limit():
+    g = make_group([2**63 - 1])
+    assert g.add_index(2**62, 2**62) == 1
+    assert g.neg_index(5) == 2**63 - 6
+
+
+def test_group_shape_predicates():
+    expected = {
+        (1,): (False, False),
+        (2,): (True, True),
+        (8,): (True, False),
+        (6,): (False, False),
+        (2, 2): (False, True),
+        (1, 2): (False, False),
+        (4, 2): (False, False),
+    }
+    for moduli, flags in expected.items():
+        g = make_group(moduli)
+        assert (g.is_cyclic_power_of_two, g.is_boolean) == flags
 
 
 def test_make_group_rejects_bad_moduli():
@@ -87,7 +127,7 @@ def test_characters_multiplicative_and_root_of_unity():
         label = tuple(int(rng.integers(m)) for m in g.moduli)
         a = tuple(int(rng.integers(m)) for m in g.moduli)
         b = tuple(int(rng.integers(m)) for m in g.moduli)
-        lhs = character_eval(g, label, element_add(g, a, b))
+        lhs = character_eval(g, label, g.add(a, b))
         rhs = character_eval(g, label, a) * character_eval(g, label, b)
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert character_eval(g, label, a) ** g.order == pytest.approx(1.0, abs=1e-10)

@@ -24,6 +24,7 @@ from abelianfft import (
     subgroup_from_generators,
     two_to_one_table,
 )
+from abelianfft import period
 from abelianfft.period import EXACT_CAP, SIMULATE_CAP
 
 from testutil import abelian_group_types
@@ -308,6 +309,27 @@ def test_find_period_modes_agree():
     exact = find_period(f_simon, 200, np.random.default_rng(4), mode="exact")
     simulated = find_period(f_simon, 200, np.random.default_rng(4), mode="simulate")
     assert exact.subgroup.members == simulated.subgroup.members == (0, 0b011)
+
+
+@pytest.mark.parametrize("mode", ["exact", "simulate"])
+def test_find_period_checks_the_table_once(monkeypatch, mode):
+    calls = []
+    oracle = period.stabilizer_bruteforce
+
+    def counting(f):
+        calls.append(f)
+        return oracle(f)
+
+    monkeypatch.setattr(period, "stabilizer_bruteforce", counting)
+    result = find_period(_mod_table(12, 3), 100, np.random.default_rng(5), mode=mode)
+    assert result.converged and result.subgroup.members == (0, 3, 6, 9)
+    assert len(calls) == 1
+
+
+def test_find_period_simulate_labels_pinned():
+    # Each shot draws once to read the value register and once to read the label, in that order.
+    result = find_period(_mod_table(12, 3), 100, np.random.default_rng(5), mode="simulate")
+    assert result.labels_seen == (8, 0, 4, 0, 8, 0, 8, 8, 4, 0, 0)
 
 
 def test_find_period_validation():
