@@ -9,10 +9,10 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .dense import DENSE_CAP, apply_dense
+from .dense import apply_dense
 from .fastfft import OpCountReport, build_tower, fft_radix2, fft_tower, walsh_hadamard
 from .groups import AbelianGroup, parse_group_spec
-from .period import FunctionTable, find_period, two_to_one_table
+from .period import FunctionTable, _check_mode_order, find_period, two_to_one_table
 from .qft_circuit import REORDER_MODES, compile_qft
 from .simulator import (
     _complex_from_json,
@@ -66,7 +66,7 @@ def _load_json(path: str) -> object:
 
 def _run_method(group: AbelianGroup, method: str, vec: np.ndarray) -> tuple[np.ndarray, dict]:
     if method == "dense":
-        spectrum = apply_dense(group, vec, cap=max(DENSE_CAP, group.order))
+        spectrum = apply_dense(group, vec)
         n = group.order
         counts = {
             "complex_multiplies": n * n,
@@ -220,6 +220,7 @@ def _cmd_simon(args: argparse.Namespace) -> dict:
     mask = int(args.mask, 2)
     if mask == 0:
         raise ValueError("mask must be nonzero: a two-to-one table needs a nontrivial period")
+    _check_mode_order(1 << n, args.mode)
     rng = np.random.default_rng(args.seed)
     table = two_to_one_table(n, mask, rng)
     result = find_period(table, args.shots, rng, mode=args.mode)

@@ -65,14 +65,14 @@ def dense_fourier_matrix(group: AbelianGroup, *, cap: int = DENSE_CAP) -> Fourie
     return FourierMatrix(group, _cached_entries(group.moduli))
 
 
-def apply_dense(group: AbelianGroup, f: Sequence[complex] | np.ndarray, *, cap: int = DENSE_CAP) -> np.ndarray:
+def apply_dense(group: AbelianGroup, f: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Transform by direct summation: out[k] = (1/sqrt(|G|)) sum_g chi_k(g) f(g).
 
-    Below the cap the cached matrix is used; above it rows are streamed in
+    Up to DENSE_CAP the cached matrix is used; above it rows are streamed in
     blocks, each row summed in a fixed order.
     """
     vec = _as_vector(f, group.order)
-    if group.order <= cap:
+    if group.order <= DENSE_CAP:
         return _cached_entries(group.moduli) @ vec
     out = np.empty(group.order, dtype=np.complex128)
     block = max(1, _STREAM_BLOCK_ENTRIES // group.order)

@@ -374,7 +374,8 @@ def enumerate_subgroups(group: AbelianGroup) -> list[Subgroup]:
         next_frontier: list[Subgroup] = []
         for sub in frontier:
             base = _mask_of(group, sub.members)
-            for g in np.flatnonzero(~base).tolist():
+            # The closure of H and g depends only on g + H: one element per other coset suffices.
+            for g in coset_decompose(group, sub).representatives[1:]:
                 closure = base.copy()
                 _extend_closure(group, closure, g)
                 key = closure.tobytes()

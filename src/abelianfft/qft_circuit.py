@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import Gate, Program, QState, apply_1q, apply_2q, cphase, hadamard, swap_gate
+from .simulator import Gate, Program, QState, cphase, hadamard, run_program, swap_gate
 
 REORDER_MODES = ("swaps", "relabel")
 
@@ -70,24 +70,17 @@ def compile_qft(m: int, reorder_mode: str = "relabel") -> GateList:
         raise ValueError(f"wire count {m!r} must be a positive integer")
     if reorder_mode not in REORDER_MODES:
         raise ValueError(f"reorder mode {reorder_mode!r} not in {REORDER_MODES}")
+    # wire_of[x] is where the content of fixed-network wire x currently lives.  Gates are
+    # emitted on the mapped wires; with deferred reordering swaps only update the map.
     gates: list[Gate] = []
-    if reorder_mode == "swaps":
-        for op in _level_ops(m):
-            if op[0] == "cphase":
-                gates.append(cphase(op[1], op[2], exponent=op[3]))
-            elif op[0] == "h":
-                gates.append(hadamard(op[1]))
-            else:
-                gates.append(swap_gate(op[1], op[2]))
-        return GateList(m, tuple(gates), reorder_mode, tuple(range(m)))
-    # Deferred reordering: wire_of[x] is where the content of fixed-network wire x
-    # currently lives.  Gates are emitted on the mapped wires; swaps only update the map.
     wire_of = list(range(m))
     for op in _level_ops(m):
         if op[0] == "cphase":
             gates.append(cphase(wire_of[op[1]], wire_of[op[2]], exponent=op[3]))
         elif op[0] == "h":
             gates.append(hadamard(wire_of[op[1]]))
+        elif reorder_mode == "swaps":
+            gates.append(swap_gate(op[1], op[2]))
         else:
             a, b = op[1], op[2]
             wire_of[a], wire_of[b] = wire_of[b], wire_of[a]
@@ -121,6 +114,4 @@ def apply_wire_permutation(state: QState, permutation: tuple[int, ...]) -> QStat
 def apply_qft(state: QState) -> QState:
     """Run the compiled network on the state and undo the deferred wire relabelling."""
     compiled = compile_qft(state.n_qubits, "relabel")
-    for gate in compiled.gates:
-        state = apply_1q(state, gate) if gate.arity == 1 else apply_2q(state, gate)
-    return apply_wire_permutation(state, compiled.final_permutation)
+    return apply_wire_permutation(run_program(compiled.to_program(), state), compiled.final_permutation)

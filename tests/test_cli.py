@@ -9,7 +9,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 from referencing import Registry, Resource
 
-from abelianfft import apply_dense, dense_fourier_matrix, make_group
+from abelianfft import DENSE_CAP, apply_dense, dense_fourier_matrix, make_group
+from abelianfft import cli, dense
 from abelianfft.cli import DEFAULT_SEED, main
 
 from testutil import SCHEMA_DIR
@@ -67,6 +68,20 @@ def test_fft_dense_output(tmp_path, capsys):
         "complex_adds": 30,
         "predicted_bound": 36,
     }
+
+
+def test_fft_dense_streams_above_the_matrix_cap(tmp_path, capsys):
+    moduli = (4, 1025)
+    assert DENSE_CAP < 4 * 1025
+    rng = np.random.default_rng(41)
+    vec = rng.standard_normal(4100) + 1j * rng.standard_normal(4100)
+    source = _write_vector(tmp_path / "v4100.json", vec)
+    misses = dense._cached_entries.cache_info().misses
+    payload = _run_json(capsys, "fft", "--group", "Z4xZ1025", "--input", source, "--method", "dense")
+    assert dense._cached_entries.cache_info().misses == misses
+    got = np.array([complex(re, im) for re, im in payload["spectrum"]])
+    want = np.fft.ifftn(vec.reshape(moduli), norm="ortho").reshape(-1)
+    assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_fft_methods_agree(tmp_path, capsys):
@@ -268,6 +283,18 @@ def test_simon_rejects_bad_mask(capsys):
     assert code == 1 and "error:" in err
     code, _, err = _run(capsys, "simon", "--n", "3", "--mask", "10x")
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [("--n", "30"), ("--n", "9", "--mode", "simulate")], ids=["exact", "simulate"])
+def test_simon_rejects_oversized_group_before_building_the_table(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cli, "two_to_one_table", refuse)
+    mask = "1" * int(argv[1])
+    code, out, err = _run(capsys, "simon", *argv, "--mask", mask)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bench_output(capsys):

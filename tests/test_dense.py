@@ -12,6 +12,7 @@ from abelianfft import (
     make_group,
     shift_vector,
 )
+from abelianfft import dense
 
 from testutil import abelian_group_types, random_vector
 
@@ -55,11 +56,15 @@ def test_apply_dense_matches_matrix():
     assert np.allclose(apply_dense(g, vec), dense_fourier_matrix(g).entries @ vec, atol=1e-12)
 
 
-def test_streaming_path_matches_matrix_path():
+def test_streaming_path_matches_matrix_path(monkeypatch):
     g = make_group([36])
     vec = random_vector(36, np.random.default_rng(9))
-    streamed = apply_dense(g, vec, cap=8)
-    assert np.max(np.abs(streamed - apply_dense(g, vec))) < 1e-12
+    from_matrix = apply_dense(g, vec)
+    monkeypatch.setattr(dense, "DENSE_CAP", 8)
+    misses = dense._cached_entries.cache_info().misses
+    streamed = apply_dense(g, vec)
+    assert dense._cached_entries.cache_info().misses == misses
+    assert np.max(np.abs(streamed - from_matrix)) < 1e-12
 
 
 def test_dense_matrix_cap():

@@ -227,6 +227,7 @@ def test_annihilator_trivial_cases():
 
 
 def test_enumerate_subgroups_counts():
-    # Z_12 has one subgroup per divisor; (Z_2)^3 has 16 subspaces.
-    assert len(enumerate_subgroups(make_group([12]))) == 6
-    assert len(enumerate_subgroups(make_group([2, 2, 2]))) == 16
+    # Z_12 has one subgroup per divisor; (Z_2)^n has as many as F_2^n has subspaces.
+    cases = (([12], 6), ([2, 2, 2], 16), ([2, 2, 2, 2], 67), ([2, 2, 2, 2, 2], 374), ([4, 4], 15))
+    for moduli, count in cases:
+        assert len(enumerate_subgroups(make_group(moduli))) == count

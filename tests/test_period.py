@@ -24,7 +24,8 @@ from abelianfft import (
     subgroup_from_generators,
     two_to_one_table,
 )
-from abelianfft import period
+from abelianfft import dense, period
+from abelianfft.groups import trivial_subgroup
 from abelianfft.period import EXACT_CAP, SIMULATE_CAP
 
 from testutil import abelian_group_types
@@ -157,6 +158,13 @@ def test_label_distribution_frozen():
     assert np.max(np.abs(label_distribution(g, trivial) - 1 / 6)) < 1e-10
     with pytest.raises(ValueError):
         label_distribution(make_group([4]), k)
+    # Exactly 1/|K^perp| on the annihilator and 0 elsewhere.
+    for group in (g, make_group([2, 4]), make_group([8, 9, 5])):
+        for subgroup in (trivial_subgroup(group), subgroup_from_generators(group, [group.coords_of(2)])):
+            ann = list(annihilator(group, subgroup).members)
+            want = np.zeros(group.order)
+            want[ann] = 1 / len(ann)
+            assert np.array_equal(label_distribution(group, subgroup), want)
 
 
 @pytest.mark.parametrize("group", abelian_group_types(32), ids=lambda g: g.spec_string())
@@ -330,6 +338,32 @@ def test_find_period_simulate_labels_pinned():
     # Each shot draws once to read the value register and once to read the label, in that order.
     result = find_period(_mod_table(12, 3), 100, np.random.default_rng(5), mode="simulate")
     assert result.labels_seen == (8, 0, 4, 0, 8, 0, 8, 8, 4, 0, 0)
+
+
+def _planted_table(moduli, generators):
+    # Values are coset indices, so the table is nondegenerate with the given stabiliser.
+    group = make_group(moduli)
+    subgroup = subgroup_from_generators(group, generators)
+    return FunctionTable(group, tuple(coset_decompose(group, subgroup).coset_of.tolist())), subgroup
+
+
+@pytest.mark.parametrize(
+    "moduli, generators, seed, labels",
+    [
+        ([1024], [(64,)], 11, (128, 496, 608, 16, 144, 944, 64, 128, 960, 624, 368, 512)),
+        ([8, 9, 5], [(2, 3, 0), (4, 0, 0)], 12, (17, 213, 15, 15, 30, 16, 195, 3, 211, 210, 0, 181)),
+    ],
+    ids=["Z1024", "Z8xZ9xZ5"],
+)
+def test_find_period_exact_builds_no_dense_matrix(moduli, generators, seed, labels):
+    # The exact label law is sampled from its closed form: no transform matrix is built,
+    # and the labels drawn are those the dense-transform route drew.
+    f, planted = _planted_table(moduli, generators)
+    dense._cached_entries.cache_clear()
+    result = find_period(f, 200, np.random.default_rng(seed))
+    assert dense._cached_entries.cache_info().misses == 0
+    assert result.converged and result.subgroup.members == planted.members
+    assert result.labels_seen == labels
 
 
 def test_find_period_validation():

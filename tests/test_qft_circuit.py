@@ -1,6 +1,9 @@
 """Gate network for the transform on Z_{2^m}: correctness, counts, reorder modes, phase accumulation."""
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,10 @@ from abelianfft import (
     gate_count,
     make_group,
     new_state,
+    program_to_json,
     run_program,
 )
+from abelianfft.qft_circuit import REORDER_MODES
 from abelianfft.simulator import QState, apply_1q, apply_2q
 
 
@@ -147,6 +152,35 @@ def test_apply_qft_periodic_support():
     out = apply_qft(QState(3, amps))
     support = np.flatnonzero(np.abs(out.amps) > 1e-10)
     assert list(support) == [0, 4]
+
+
+# First 16 hex digits of the SHA-256 of each compiled program's sorted-key JSON.
+_PROGRAM_DIGESTS = {
+    "swaps": ("8e7ba761b526a6eb", "10912613adb0ae9d", "bcfaf463261d966b", "1b65ed9ff7d9d6c2",
+              "8657b4c90066b349", "5ce878ee9c6c94b6", "b6b0406f8f13f180", "7ec9f423b0bc65ff"),
+    "relabel": ("8e7ba761b526a6eb", "841580f932439cf4", "b24ff5fe9cfe9715", "beb30b2c797a923b",
+                "884e0abfbf034641", "b97e2ee5a3625735", "6d066e0fb26e37d2", "ee3d68ffe2be91f7"),
+}
+
+
+@pytest.mark.parametrize("mode", REORDER_MODES)
+def test_compiled_programs_pinned(mode):
+    for m in range(1, 9):
+        text = json.dumps(program_to_json(compile_qft(m, mode).to_program()), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == _PROGRAM_DIGESTS[mode][m - 1], m
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_apply_qft_equals_gate_by_gate(m):
+    rng = np.random.default_rng(100 + m)
+    amps = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    state = QState(m, amps / np.linalg.norm(amps))
+    compiled = compile_qft(m, "relabel")
+    want = state
+    for gate in compiled.gates:
+        want = apply_1q(want, gate) if gate.arity == 1 else apply_2q(want, gate)
+    want = apply_wire_permutation(want, compiled.final_permutation)
+    assert np.array_equal(apply_qft(state).amps, want.amps)
 
 
 def test_compile_validation():
