@@ -15,6 +15,7 @@ from .groups import AbelianGroup, parse_group_spec
 from .period import FunctionTable, _check_mode_order, find_period, two_to_one_table
 from .qft_circuit import REORDER_MODES, compile_qft
 from .simulator import (
+    STATE_CAP,
     _complex_from_json,
     measure_qubit_distribution,
     program_from_json,
@@ -250,6 +251,8 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
     for m in methods:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r} (choose from {', '.join(_METHODS)})")
+    if group.order > 1 << STATE_CAP:
+        raise ValueError(f"group order {group.order} exceeds the bench limit 2^{STATE_CAP}")
     rng = np.random.default_rng(args.seed)
     vec = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
     vec /= np.linalg.norm(vec)
@@ -334,6 +337,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload = _HANDLERS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as error:
         sys.stderr.write(f"error: {error}\n")
+        return 1
+    except MemoryError as error:
+        detail = f": {error}" if str(error) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
         return 1
     if args.command == "qft-compile" and args.emit == "text":
         text = _format_qft_text(payload)

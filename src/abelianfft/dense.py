@@ -13,8 +13,10 @@ from .groups import AbelianGroup, Coords, character_phases
 # Largest group order for which the full transform matrix is materialised.
 DENSE_CAP = 4096
 
-# Row-block size target for the streaming path above the cap, in matrix entries.
-_STREAM_BLOCK_ENTRIES = 1 << 23
+# Row-block size target for the streaming path above the cap, in matrix entries.  A block's
+# float64, int64 and complex128 temporaries then take a few tens of MiB, well under the
+# 256 MiB matrix the cap avoids.
+_STREAM_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)

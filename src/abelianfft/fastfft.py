@@ -13,7 +13,7 @@ from .dense import _as_vector
 from .groups import (
     AbelianGroup,
     Subgroup,
-    annihilator,
+    character_phases,
     coset_decompose,
     make_group,
 )
@@ -116,77 +116,98 @@ def _char_matrix(group: AbelianGroup, labels: Sequence[int], args: Sequence[int]
 
 
 class _TowerPlan:
-    """Per-level bookkeeping for the coset recursion.
+    """Everything the coset recursion needs that depends on the tower alone.
 
     Sub-transform outputs are indexed by the distinct restrictions of the
     group's characters to that level, i.e. by cosets of the level's
     annihilator in the label group.  Class representatives are minimal, and
     each class maps into the class of the next level that contains it.
+
+    The recursion's nodes at depth d are the cosets of level d-1 (level -1
+    being the group), node i's children being nodes i*R .. i*R + R - 1 for
+    the R coset representatives of that level.  `base_gather` holds, row by
+    node, the input indices each deepest node transforms.
     """
 
-    def __init__(self, group: AbelianGroup, tower: SubgroupTower) -> None:
-        self.depth = len(tower.levels)
+    def __init__(self, tower: SubgroupTower) -> None:
+        group = tower.group
         member_lists = [np.arange(group.order)] + [level.members for level in tower.levels]
 
-        # Label classes per level: level 0 is the full group, one class per label.
-        class_reps: list[np.ndarray] = [np.arange(group.order, dtype=np.int64)]
-        class_of: list[np.ndarray] = [np.arange(group.order, dtype=np.int64)]
+        # Label classes per level: level 0 is the full group, one class per label.  Below it, two
+        # labels share a class when their characters agree on the level's generators, hence on
+        # the level; the pairing is symmetric, so chi_k(gen) is character_phases(gen) at k.
+        # Classes are numbered in the order of their minimal labels.
+        labels = np.arange(group.order, dtype=np.int64)
+        class_reps: list[np.ndarray] = [labels]
+        class_of: list[np.ndarray] = [labels]
         for level in tower.levels:
-            ann = annihilator(group, level)
-            dec = coset_decompose(group, ann)
-            class_reps.append(np.asarray(dec.representatives, dtype=np.int64))
-            class_of.append(np.asarray(dec.coset_of))
+            # One generator at a time, renumbered after each so that key * lcm stays below |G| * lcm.
+            key = np.zeros(group.order, dtype=np.int64)
+            for gen in level.generators():
+                _, key = np.unique(key * group.lcm + character_phases(group, gen), return_inverse=True)
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            by_rep = np.argsort(first)
+            class_reps.append(first[by_rep])
+            class_of.append(np.argsort(by_rep)[inverse])
 
-        self.coset_reps: list[np.ndarray] = []
         self.twiddles: list[np.ndarray] = []
         self.child_class: list[np.ndarray] = []
-        for j in range(self.depth):
+        # Coset offsets of every node, one translate per level.
+        shifts = np.zeros(1, dtype=np.int64)
+        for j, level in enumerate(tower.levels):
             # Minimal representative of each coset of the child level inside level j.
-            reps = np.asarray(coset_decompose(group, tower.levels[j]).representatives, dtype=np.int64)
+            reps = np.asarray(coset_decompose(group, level).representatives, dtype=np.int64)
             reps = reps[np.isin(reps, member_lists[j])]
-            self.coset_reps.append(reps)
             self.twiddles.append(_char_matrix(group, class_reps[j], reps))
             self.child_class.append(class_of[j + 1][class_reps[j]])
+            shifts = group.translate(shifts[:, None], reps[None, :]).reshape(-1)
 
         base = tower.levels[-1]
-        self.base_members = np.asarray(base.members, dtype=np.int64)
-        self.base_table = _char_matrix(group, class_reps[self.depth], base.members)
+        self.base_gather = group.translate(shifts[:, None], np.asarray(base.members, dtype=np.int64)[None, :])
+        self.base_table = _char_matrix(group, class_reps[-1], base.members)
+
+
+# Upper bound on the entries of the (node, class, rep) block the upward pass combines at once.
+_LEVEL_BLOCK_ENTRIES = 1 << 20
 
 
 def fft_tower(
     group: AbelianGroup, tower: SubgroupTower, f: Sequence[complex] | np.ndarray
 ) -> tuple[np.ndarray, OpCountReport]:
-    """Transform by recursing on coset restrictions down the tower.
+    """Transform by the coset recursion down the tower, run one level at a time.
 
     Each level splits its domain into cosets of the next subgroup, transforms
     each restriction, and recombines sub-results with character twiddles; the
-    overall 1/sqrt(|G|) scale is applied once at the end.
+    overall 1/sqrt(|G|) scale is applied once at the end.  Everything that
+    depends on the tower alone (coset offsets, label classes, twiddles) is
+    planned first, once per call.  The transform then gathers the input onto
+    the deepest cosets, transforms them all in one product with the base
+    table, and climbs back up, combining the nodes of a level in blocks of
+    bounded size in the order the recursion would.  The tallies count this
+    execution, not the plan.
     """
     if tower.group != group:
         raise ValueError("tower belongs to a different group")
     vec = _as_vector(f, group.order)
-    plan = _TowerPlan(group, tower)
-    mults = 0
-    adds = 0
+    plan = _TowerPlan(tower)
+    values = vec[plan.base_gather]
+    k = values.shape[1]
+    out = values @ plan.base_table.T
+    mults = len(values) * k * k
+    adds = len(values) * k * (k - 1)
+    for twiddles, child_class in zip(reversed(plan.twiddles), reversed(plan.child_class)):
+        classes, reps = twiddles.shape
+        children = out.reshape(-1, reps, out.shape[1])
+        out = np.empty((len(children), classes), dtype=np.complex128)
+        step = max(1, _LEVEL_BLOCK_ENTRIES // twiddles.size)
+        for start in range(0, len(children), step):
+            # (node, class, rep): each twiddle sum runs along the unit-stride rep axis, as the recursion's did.
+            block = children[start:start + step].transpose(0, 2, 1)[:, child_class]
+            out[start:start + step] = np.sum(twiddles * block, axis=2)
+        mults += out.size * reps
+        adds += out.size * (reps - 1)
 
-    def recurse(depth: int, shift: int) -> np.ndarray:
-        nonlocal mults, adds
-        if depth == plan.depth:
-            values = vec[group.translate(plan.base_members, shift)]
-            out = plan.base_table @ values
-            k = len(values)
-            mults += k * k
-            adds += k * (k - 1)
-            return out
-        reps = plan.coset_reps[depth]
-        children = np.stack([recurse(depth + 1, child) for child in group.translate(reps, shift)])
-        gathered = children[:, plan.child_class[depth]]
-        out = np.sum(plan.twiddles[depth] * gathered.T, axis=1)
-        mults += out.size * len(reps)
-        adds += out.size * (len(reps) - 1)
-        return out
-
-    spectrum = recurse(0, 0) / sqrt(group.order)
+    spectrum = out[0] / sqrt(group.order)
     mults += group.order
     first = tower.levels[0].order
     report = OpCountReport(mults, adds, predict_cost(group.order, first))
@@ -211,32 +232,29 @@ def _twiddle_table(size: int) -> np.ndarray:
 
 
 def fft_radix2(n: int, f: Sequence[complex] | np.ndarray) -> tuple[np.ndarray, OpCountReport]:
-    """Size-2^n transform by the even/odd coset split.
+    """Size-2^n transform by the even/odd coset split, run as n butterfly stages.
 
+    The input is permuted into bit-reversed order (a transpose of its n binary
+    axes), where every run of 2^m entries holds the inputs of one size-2^m
+    sub-transform; stage m then combines the two halves of every run at once.
     Both halves of the butterfly carry the 1/sqrt(2) of their level, so each
-    level of size 2^m performs exactly 2^m multiplies and 2^m adds.
+    stage performs exactly 2^n multiplies and 2^n adds.
     """
     if n < 0:
         raise ValueError(f"qubit count {n} must be nonnegative")
     vec = _as_vector(f, 1 << n)
+    data = vec.reshape((2,) * n).transpose().flatten()
     mults = 0
     adds = 0
-
-    def recurse(values: np.ndarray) -> np.ndarray:
-        nonlocal mults, adds
-        size = values.shape[0]
-        if size == 1:
-            return values.copy()
-        even = recurse(values[0::2])
-        odd = recurse(values[1::2])
-        scaled_even = even * _INV_SQRT2
-        twisted_odd = odd * (_twiddle_table(size) * _INV_SQRT2)
-        mults += size
-        adds += size
-        return np.concatenate((scaled_even + twisted_odd, scaled_even - twisted_odd))
-
-    spectrum = recurse(vec)
-    return spectrum, OpCountReport(mults, adds, n * (1 << n))
+    for level in range(1, n + 1):
+        size = 1 << level
+        halves = data.reshape(-1, 2, size // 2)
+        scaled_even = halves[:, 0] * _INV_SQRT2
+        twisted_odd = halves[:, 1] * (_twiddle_table(size) * _INV_SQRT2)
+        data = np.concatenate((scaled_even + twisted_odd, scaled_even - twisted_odd), axis=1)
+        mults += data.size
+        adds += data.size
+    return data.reshape(-1), OpCountReport(mults, adds, n * (1 << n))
 
 
 def walsh_hadamard(n: int, f: Sequence[complex] | np.ndarray) -> np.ndarray:

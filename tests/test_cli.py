@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,28 @@ def test_bench_output(capsys):
     assert payload["methods"]["dense"]["complex_multiplies"] == 256
     assert payload["methods"]["radix2"]["complex_multiplies"] == 4 * 16
     assert payload["methods"]["tower"]["predicted_bound"] == 16 * (8 + 2)
+
+
+def test_bench_rejects_oversized_group_before_drawing_its_vector(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "bench", "--group", "Z2^40", "--methods", "walsh")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_memory_error_is_one_error_line(monkeypatch, capsys):
+    def exhaust(args):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setitem(cli._HANDLERS, "bench", exhaust)
+    code, out, err = _run(capsys, "bench", "--group", "Z8")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bench_rejects_unknown_method(capsys):

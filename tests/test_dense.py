@@ -1,6 +1,8 @@
 """Dense transform: unitarity, frozen matrices, basis interchange, shift duality, streaming."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from abelianfft import (
 )
 from abelianfft import dense
 
+from test_acceptance import TOL_TRANSFORM
 from testutil import abelian_group_types, random_vector
 
 
@@ -65,6 +68,23 @@ def test_streaming_path_matches_matrix_path(monkeypatch):
     streamed = apply_dense(g, vec)
     assert dense._cached_entries.cache_info().misses == misses
     assert np.max(np.abs(streamed - from_matrix)) < 1e-12
+
+
+def test_streaming_memory_stays_below_the_matrix_it_avoids():
+    # Z4xZ1025 (order 4100) is just above the cap; its matrix would take 256 MiB.
+    moduli = (4, 1025)
+    g = make_group(list(moduli))
+    assert g.order > dense.DENSE_CAP
+    vec = random_vector(g.order, np.random.default_rng(43))
+    tracemalloc.start()
+    try:
+        streamed = apply_dense(g, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    want = np.fft.ifftn(vec.reshape(moduli), norm="ortho").reshape(-1)
+    assert np.max(np.abs(streamed - want)) < TOL_TRANSFORM
 
 
 def test_dense_matrix_cap():

@@ -1,6 +1,9 @@
 """Tower and radix-2 transforms against the dense oracle, plus exact operation counts."""
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from abelianfft import (
     walsh_hadamard,
 )
 
+from test_acceptance import TOL_TRANSFORM
 from testutil import abelian_group_types, random_vector
 
 
@@ -165,6 +169,84 @@ def test_tower_tallies_pinned_and_spectrum_matches_dense(moduli, mults, adds):
     assert mults == group.order * (sum(tower.indices) + 2)
     assert adds == group.order * sum(index - 1 for index in tower.indices)
     assert np.max(np.abs(out - apply_dense(group, vec))) < 1e-9
+
+
+def _digest(spectrum: np.ndarray) -> str:
+    return hashlib.sha256(spectrum.tobytes()).hexdigest()[:16]
+
+
+# First 16 hex digits of the SHA-256 of the spectrum bytes, from the per-node recursion these
+# transforms replaced: planning once and running level by level must not move a single bit.
+# The digests are bit-level, so a numpy build whose complex kernels round differently (with or
+# without fused multiply-add) would need them recorded again from that recursion.
+_TOWER_DIGESTS = {
+    (256,): "24088588d735affc",
+    (2,) * 7: "feea90e8f4075278",
+    (4, 9, 5): "cadadbf459fb09f2",
+    (1024,): "37583bbdcf9d1151",
+    (2,) * 8: "6ced64c0f98a0f1c",
+    (8, 9, 5): "c70567c18b9f686c",
+    (4096,): "ca0f143843644f0d",
+    (2,) * 12: "772411bf5dfb1c53",
+    (16, 1021): "4e95508efabe7ca9",
+}
+_RADIX2_DIGESTS = (
+    "4d2da633f02efc70", "4e4864179b41d984", "5eafe803cf08f4ee", "3068eab1c1e26268", "f7bcf71a2f4ffaa6",
+    "4c409c687c47d2cd", "1fabafb6069352db", "d09da8c6da773ada", "df1f21968f4664ee", "e57ecfd7dff81051",
+    "94fb33ce6d67b51c", "574f407e4d3d99c4", "45b01cfba64b015d", "3b91c74d3f17aa88", "fa75fe12f2b21b26",
+)
+
+
+@pytest.mark.parametrize("moduli", list(_TOWER_DIGESTS), ids=str)
+def test_tower_spectra_pinned(moduli):
+    group = make_group(moduli)
+    vec = random_vector(group.order, np.random.default_rng(group.order))
+    out, _ = fft_tower(group, build_tower(group), vec)
+    assert _digest(out) == _TOWER_DIGESTS[moduli]
+
+
+def test_radix2_spectra_pinned():
+    for n, digest in enumerate(_RADIX2_DIGESTS):
+        out, _ = fft_radix2(n, random_vector(1 << n, np.random.default_rng(1000 + n)))
+        assert _digest(out) == digest, n
+
+
+def test_writing_into_a_spectrum_leaves_the_next_transform_alone():
+    group = make_group([12])
+    tower = build_tower(group)
+    vec = random_vector(group.order, np.random.default_rng(7))
+    first, _ = fft_tower(group, tower, vec)
+    want = first.copy()
+    first[:] = 0
+    again, _ = fft_tower(group, tower, vec)
+    assert np.array_equal(again, want)
+    vec = random_vector(16, np.random.default_rng(8))
+    radix, _ = fft_radix2(4, vec)
+    want = radix.copy()
+    radix[:] = 0
+    assert np.array_equal(fft_radix2(4, vec)[0], want)
+    single = np.array([0.5 + 0.5j])
+    radix, _ = fft_radix2(0, single)
+    radix[:] = 0
+    assert single[0] == 0.5 + 0.5j
+
+
+def test_upward_pass_memory_stays_near_one_node():
+    # The last step of Z16xZ1021's tower has 16 parents of 1021 classes and 1021 reps; combining
+    # them all at once would hold two (16, 1021, 1021) complex temporaries of about 255 MiB each.
+    moduli = (16, 1021)
+    group = make_group(list(moduli))
+    tower = build_tower(group)
+    vec = random_vector(group.order, np.random.default_rng(44))
+    tracemalloc.start()
+    try:
+        out, _ = fft_tower(group, tower, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    want = np.fft.ifftn(vec.reshape(moduli), norm="ortho").reshape(-1)
+    assert np.max(np.abs(out - want)) < TOL_TRANSFORM
 
 
 def test_predict_cost_values():

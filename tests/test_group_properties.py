@@ -1,4 +1,5 @@
-"""Property tests of the array group arithmetic against coordinate arithmetic, over random groups."""
+"""Property tests over random groups: the array group arithmetic against coordinate arithmetic,
+and the tower transform against the dense oracle whatever tower it runs on."""
 from __future__ import annotations
 
 from math import prod
@@ -10,7 +11,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelianfft import coset_decompose, make_group, subgroup_from_generators
+from abelianfft import (
+    SubgroupTower,
+    apply_dense,
+    build_tower,
+    coset_decompose,
+    fft_tower,
+    make_group,
+    subgroup_from_generators,
+    trivial_subgroup,
+)
+
+from test_acceptance import TOL_TRANSFORM
 
 MAX_ORDER = 512
 
@@ -79,3 +91,22 @@ def test_closure_matches_set_closure(case):
         closure |= frontier
     subgroup = subgroup_from_generators(group, [group.coords_of(g) for g in gens])
     assert subgroup.members == tuple(sorted(closure))
+
+
+@_SETTINGS
+@given(groups().filter(lambda group: group.order > 1), st.integers(0, 2**32 - 1))
+def test_tower_transform_matches_dense_on_any_tower(group, seed):
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    want = apply_dense(group, vec)
+    built = build_tower(group)
+    towers = [built, SubgroupTower(group, (trivial_subgroup(group),))]
+    if len(built.levels) > 1:
+        towers.append(SubgroupTower(group, built.levels[:-1]))  # stops above the trivial subgroup
+    for tower in towers:
+        out, report = fft_tower(group, tower, vec)
+        assert np.max(np.abs(out - want)) < TOL_TRANSFORM
+        # Closed form: index multiplies per element at each level, the base blocks, the final scale.
+        base = tower.levels[-1].order
+        assert report.complex_multiplies == group.order * (sum(tower.indices) + base + 1)
+        assert report.complex_adds == group.order * (sum(i - 1 for i in tower.indices) + base - 1)
