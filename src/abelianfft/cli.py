@@ -125,11 +125,14 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         "shots": args.shots,
     }
     if args.measure == "all":
-        probs = np.abs(state.amps) ** 2
+        probs = np.abs(state.amps)
+        probs *= probs
+        support = np.flatnonzero(probs > 1e-15)
         n = program.n_qubits
         payload["distribution"] = {
-            format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 1e-15
+            format(i, f"0{n}b"): p for i, p in zip(support.tolist(), probs[support].tolist())
         }
+        del probs  # sampling builds its own normalised copy
     else:
         qubit = int(args.measure)
         dist = measure_qubit_distribution(state, qubit)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .simulator import Gate, Program, QState, cphase, hadamard, run_program, swap_gate
 
 REORDER_MODES = ("swaps", "relabel")
@@ -104,11 +102,9 @@ def apply_wire_permutation(state: QState, permutation: tuple[int, ...]) -> QStat
     n = state.n_qubits
     if sorted(permutation) != list(range(n)):
         raise ValueError(f"{permutation!r} is not a permutation of 0..{n - 1}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    source = np.zeros(1 << n, dtype=np.int64)
-    for x, w in enumerate(permutation):
-        source |= ((idx >> x) & 1) << w
-    return QState(n, state.amps[source])
+    # Axis n-1-w of the (2,)*n tensor holds wire w, so output axis n-1-x is input axis n-1-permutation[x].
+    axes = [n - 1 - permutation[n - 1 - k] for k in range(n)]
+    return QState(n, state.amps.reshape((2,) * n).transpose(axes).flatten())
 
 
 def apply_qft(state: QState) -> QState:

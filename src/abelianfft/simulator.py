@@ -1,15 +1,31 @@
-"""Qubit state-vector simulator with strided one- and two-qubit kernels.
+"""Qubit state-vector simulator whose gate kernels run in place on one amplitude buffer.
 
 Qubit 0 is the LEAST significant bit of the amplitude index throughout, and
 outcome strings are written most significant qubit first.  In a two-qubit gate
 matrix the first listed target is the more significant bit of the 4x4 basis.
 All randomness comes from an explicitly passed numpy Generator.
+
+`run_program` writes its start state into one complex128 buffer, runs every
+gate on it in place and checks the unit norm once, when it wraps the final
+buffer in a `QState`.  Each gate runs on a strided view with one leading axis
+per target wire:
+
+- a 2x2 matrix (H or raw) is a butterfly over the amplitude pairs;
+- X, CNOT and SWAP exchange two index slices;
+- CPHASE multiplies the quarter of the amplitudes with both target bits set;
+- a raw 4x4 matrix multiplies the (4, -1) reshape of the view.
+
+Butterflies and exchanges work in blocks of at most `_BLOCK` pairs, so a gate
+on the top wire needs no temporary the size of the state.  The named gates
+share one read-only matrix each (one per exponent for CPHASE), checked for
+unitarity once, when it is first built; a raw matrix is checked on every `Gate`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache, partial
+from math import prod, sqrt
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -18,19 +34,102 @@ STATE_CAP = 24
 
 UNITARY_TOL = 1e-10
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
+# Largest number of amplitude pairs a butterfly or an exchange updates in one step.  A block's
+# temporaries (128 KiB each) stay in cache: at 24 qubits this runs an H twice as fast as 2^16.
+_BLOCK = 1 << 13
+
+
+def _blocks(shape: tuple[int, ...]) -> Iterator[tuple]:
+    """Index tuples that cover an array of this shape in pieces of at most _BLOCK entries."""
+    inner = prod(shape[1:])
+    if inner <= _BLOCK:
+        rows = _BLOCK // inner
+        for start in range(0, shape[0], rows):
+            yield (slice(start, start + rows),)
+    else:
+        for row in range(shape[0]):
+            for rest in _blocks(shape[1:]):
+                yield (row,) + rest
+
+
+def _wire_view(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """A view of the amplitudes with one leading length-2 axis per target, in the listed order."""
+    if len(targets) == 1:
+        return amps.reshape(-1, 2, 1 << targets[0]).transpose(1, 0, 2)
+    hi, lo = max(targets), min(targets)
+    shaped = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    return shaped.transpose((1, 3, 0, 2, 4) if targets[0] == hi else (3, 1, 0, 2, 4))
+
+
+def _butterfly(view: np.ndarray, u: np.ndarray) -> None:
+    for block in _blocks(view.shape[1:]):
+        a0, a1 = view[0][block], view[1][block]
+        out0 = u[0, 0] * a0 + u[0, 1] * a1
+        a1[...] = u[1, 0] * a0 + u[1, 1] * a1
+        a0[...] = out0
+
+
+def _exchange(view: np.ndarray, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    """Swap the amplitudes whose target bits read a with those whose target bits read b."""
+    first, second = view[a], view[b]
+    for block in _blocks(first.shape):
+        held = first[block].copy()
+        first[block] = second[block]
+        second[block] = held
+
+
+def _phase(view: np.ndarray, phase: complex) -> None:
+    """Multiply the amplitudes with both target bits set."""
+    view[1, 1] *= phase
+
+
+def _product(view: np.ndarray, u: np.ndarray) -> None:
+    view[...] = (u @ view.reshape(4, -1)).reshape(view.shape)
+
+
+def _check_unitary(matrix: np.ndarray) -> None:
+    if matrix.shape not in ((2, 2), (4, 4)):
+        raise ValueError(f"gate matrix has shape {matrix.shape}, expected 2x2 or 4x4")
+    deviation = np.max(np.abs(matrix @ matrix.conj().T - np.eye(matrix.shape[0])))
+    if deviation > UNITARY_TOL:
+        raise ValueError(f"gate matrix is not unitary (deviation {deviation:.3e})")
+
+
+# id of each shared named-gate matrix -> (the matrix, the in-place kernel that runs it or None
+# for the butterfly).  Holding the matrix keeps it alive, so its id is never reused.
+_SHARED: dict[int, tuple[np.ndarray, Callable[[np.ndarray], None] | None]] = {}
+
+_NAMED = {
+    "H": ([[1 / sqrt(2.0), 1 / sqrt(2.0)], [1 / sqrt(2.0), -1 / sqrt(2.0)]], None),
+    "X": ([[0, 1], [1, 0]], partial(_exchange, a=(0,), b=(1,))),
+    "CNOT": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], partial(_exchange, a=(1, 0), b=(1, 1))),
+    "SWAP": ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], partial(_exchange, a=(0, 1), b=(1, 0))),
+}
+
+# 2.0**-e is 0.0 from here on, so every larger exponent shares the identity matrix and the
+# cache of shared matrices stays bounded whatever exponents a program lists.
+_PHASE_EXPONENT_LIMIT = 1075
+
+
+@lru_cache(maxsize=None)
+def _shared(name: str, exponent: int = 0) -> np.ndarray:
+    """The one read-only matrix of a named gate (of each exponent for CPHASE), checked for
+    unitarity when it is first asked for."""
+    if name == "CPHASE":
+        phase = np.exp(2j * np.pi * 2.0**-exponent)
+        rows, kernel = np.diag([1, 1, 1, phase]), partial(_phase, phase=phase)
+    else:
+        rows, kernel = _NAMED[name]
+    matrix = np.array(rows, dtype=np.complex128)
+    _check_unitary(matrix)
+    matrix.setflags(write=False)
+    _SHARED[id(matrix)] = (matrix, kernel)
+    return matrix
 
 
 @dataclass(frozen=True)
 class Gate:
-    """A 1- or 2-qubit unitary bound to target wires; unitarity is checked on construction."""
+    """A 1- or 2-qubit unitary bound to target wires; a raw matrix is checked for unitarity here."""
 
     matrix: np.ndarray
     targets: tuple[int, ...]
@@ -39,12 +138,9 @@ class Gate:
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=np.complex128)
-        if matrix.shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"gate matrix has shape {matrix.shape}, expected 2x2 or 4x4")
-        deviation = np.max(np.abs(matrix @ matrix.conj().T - np.eye(matrix.shape[0])))
-        if deviation > UNITARY_TOL:
-            raise ValueError(f"gate matrix is not unitary (deviation {deviation:.3e})")
-        matrix.setflags(write=False)
+        if id(matrix) not in _SHARED:
+            _check_unitary(matrix)
+            matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         targets = tuple(int(t) for t in self.targets)
         if len(targets) != self.arity:
@@ -55,32 +151,43 @@ class Gate:
 
     @property
     def arity(self) -> int:
-        return 1 if np.asarray(self.matrix).shape == (2, 2) else 2
+        return 1 if self.matrix.shape == (2, 2) else 2
 
 
 def hadamard(target: int) -> Gate:
-    return Gate(_H, (target,), name="H")
+    return Gate(_shared("H"), (target,), name="H")
 
 
 def pauli_x(target: int) -> Gate:
-    return Gate(_X, (target,), name="X")
+    return Gate(_shared("X"), (target,), name="X")
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate(_CNOT, (control, target), name="CNOT")
+    return Gate(_shared("CNOT"), (control, target), name="CNOT")
 
 
 def swap_gate(a: int, b: int) -> Gate:
-    return Gate(_SWAP, (a, b), name="SWAP")
+    return Gate(_shared("SWAP"), (a, b), name="SWAP")
 
 
 def cphase(control: int, target: int, exponent: int = 1) -> Gate:
     """Conditional phase diag(1, 1, 1, exp(2 pi i / 2^exponent)); exponent 1 gives CZ."""
     if not isinstance(exponent, int) or exponent < 1:
         raise ValueError(f"phase exponent {exponent!r} must be a positive integer")
-    matrix = np.eye(4, dtype=np.complex128)
-    matrix[3, 3] = np.exp(2j * np.pi / (1 << exponent))
+    matrix = _shared("CPHASE", min(exponent, _PHASE_EXPONENT_LIMIT))
     return Gate(matrix, (control, target), name="CPHASE", param=exponent)
+
+
+def _apply(amps: np.ndarray, gate: Gate, targets: tuple[int, ...]) -> None:
+    """Run the gate on the given wires of a writable amplitude buffer, in place."""
+    view = _wire_view(amps, targets)
+    kernel = _SHARED.get(id(gate.matrix), (None, None))[1]
+    if kernel is not None:
+        kernel(view)
+    elif len(targets) == 1:
+        _butterfly(view, gate.matrix)
+    else:
+        _product(view, gate.matrix)
 
 
 @dataclass(frozen=True)
@@ -103,21 +210,23 @@ class QState:
         object.__setattr__(self, "amps", amps)
 
 
+def _basis_amps(n_qubits: int, index: int) -> np.ndarray:
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[index] = 1.0
+    return amps
+
+
 def new_state(n_qubits: int) -> QState:
     """|0...0> on n qubits."""
     if not 1 <= n_qubits <= STATE_CAP:
         raise ValueError(f"qubit count {n_qubits} outside [1, {STATE_CAP}]")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return QState(n_qubits, amps)
+    return QState(n_qubits, _basis_amps(n_qubits, 0))
 
 
 def basis_state(n_qubits: int, index: int) -> QState:
     if not 0 <= index < (1 << n_qubits):
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return QState(n_qubits, amps)
+    return QState(n_qubits, _basis_amps(n_qubits, index))
 
 
 def _check_target(state: QState, target: int) -> None:
@@ -126,21 +235,19 @@ def _check_target(state: QState, target: int) -> None:
 
 
 def apply_1q(state: QState, gate: Gate, target: int | None = None) -> QState:
-    """Apply a one-qubit gate: 2^(n-1) two-vector multiplies over the strided pairs."""
+    """Apply a one-qubit gate to a copy of the state, with the kernel `run_program` uses."""
     if gate.arity != 1:
         raise ValueError("apply_1q needs a 2x2 gate")
     t = gate.targets[0] if target is None else int(target)
     _check_target(state, t)
-    shaped = state.amps.reshape(-1, 2, 1 << t)
-    u = gate.matrix
-    out = np.empty_like(shaped)
-    out[:, 0, :] = u[0, 0] * shaped[:, 0, :] + u[0, 1] * shaped[:, 1, :]
-    out[:, 1, :] = u[1, 0] * shaped[:, 0, :] + u[1, 1] * shaped[:, 1, :]
-    return QState(state.n_qubits, out.reshape(-1))
+    amps = state.amps.copy()
+    _apply(amps, gate, (t,))
+    return QState(state.n_qubits, amps)
 
 
 def apply_2q(state: QState, gate: Gate, targets: tuple[int, int] | None = None) -> QState:
-    """Apply a two-qubit gate; the first listed target is the more significant bit of the 4x4 basis."""
+    """Apply a two-qubit gate to a copy of the state; the first listed target is the more significant
+    bit of the 4x4 basis."""
     if gate.arity != 2:
         raise ValueError("apply_2q needs a 4x4 gate")
     hi, lo = gate.targets if targets is None else (int(targets[0]), int(targets[1]))
@@ -148,12 +255,9 @@ def apply_2q(state: QState, gate: Gate, targets: tuple[int, int] | None = None) 
     _check_target(state, lo)
     if hi == lo:
         raise ValueError(f"two-qubit gate targets ({hi}, {lo}) must be distinct")
-    n = state.n_qubits
-    tensor = state.amps.reshape((2,) * n)
-    moved = np.moveaxis(tensor, (n - 1 - hi, n - 1 - lo), (0, 1))
-    flat = gate.matrix @ moved.reshape(4, -1)
-    restored = np.moveaxis(flat.reshape((2, 2) + (2,) * (n - 2)), (0, 1), (n - 1 - hi, n - 1 - lo))
-    return QState(n, np.ascontiguousarray(restored).reshape(-1))
+    amps = state.amps.copy()
+    _apply(amps, gate, (hi, lo))
+    return QState(state.n_qubits, amps)
 
 
 @dataclass(frozen=True)
@@ -174,21 +278,27 @@ class Program:
 
 
 def run_program(program: Program, initial: QState | None = None) -> QState:
-    """Run the gate sequence from |0...0> (or the given state) and return the final state."""
-    state = new_state(program.n_qubits) if initial is None else initial
-    if state.n_qubits != program.n_qubits:
-        raise ValueError(f"initial state has {state.n_qubits} qubits, program needs {program.n_qubits}")
+    """Run the gate sequence from |0...0> (or a copy of the given state) and return the final state."""
+    n = program.n_qubits
+    if initial is None:
+        amps = _basis_amps(n, 0)
+    elif initial.n_qubits != n:
+        raise ValueError(f"initial state has {initial.n_qubits} qubits, program needs {n}")
+    else:
+        amps = initial.amps.copy()
     for gate in program.steps:
-        state = apply_1q(state, gate) if gate.arity == 1 else apply_2q(state, gate)
-    return state
+        _apply(amps, gate, gate.targets)
+    return QState(n, amps)
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:
-    p = np.abs(amps) ** 2
+    p = np.abs(amps)
+    p *= p
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return p / total
+    p /= total
+    return p
 
 
 def measure_qubit_distribution(state: QState, qubit: int) -> dict[int, float]:
@@ -237,9 +347,9 @@ def sample(state: QState, shots: int, rng: np.random.Generator) -> dict[str, int
         raise ValueError(f"shot count {shots} must be positive")
     p = _probabilities(state.amps)
     draws = rng.choice(len(p), size=shots, p=p)
-    counts = np.bincount(draws, minlength=len(p))
+    outcomes, counts = np.unique(draws, return_counts=True)
     n = state.n_qubits
-    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
+    return {format(i, f"0{n}b"): c for i, c in zip(outcomes.tolist(), counts.tolist())}
 
 
 def _complex_from_json(entry: object) -> complex:

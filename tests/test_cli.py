@@ -1,6 +1,7 @@
 """Command line front end: JSON shape against the schemas, determinism, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 
@@ -171,6 +172,34 @@ def test_simulate_single_qubit_measure(tmp_path, capsys):
     assert sum(payload["counts"].values()) == 40
 
 
+# SHA-256 of the stdout of `simulate --shots 1000` on _program20(), taken before the simulator
+# ran its gates in place and counted outcomes over the support only.
+_SIMULATE20_DIGEST = "bb3e44f701a69b8ff1b425a4648333806099aaed83f6ab4b13da7dbf64fac628"
+
+
+def _program20() -> dict:
+    steps = [{"gate": "H", "targets": [w]} for w in (0, 3, 7, 12, 19)]
+    steps += [
+        {"gate": "CNOT", "targets": [0, 18]},
+        {"gate": "CNOT", "targets": [19, 1]},
+        {"gate": "SWAP", "targets": [3, 15]},
+        {"gate": "X", "targets": [10]},
+        {"gate": "CPHASE", "targets": [7, 12], "param": 3},
+        {"targets": [19], "matrix": [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]},
+    ]
+    return {"n": 20, "steps": steps}
+
+
+def test_simulate_output_pinned(tmp_path, capsys):
+    source = tmp_path / "program20.json"
+    source.write_text(json.dumps(_program20()))
+    code, out, err = _run(capsys, "simulate", "--program", str(source), "--shots", "1000")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == _SIMULATE20_DIGEST
+    payload = json.loads(out)
+    assert len(payload["distribution"]) == 64 and sum(payload["counts"].values()) == 1000
+
+
 def test_simulate_rejects_bad_program(tmp_path, capsys):
     source = tmp_path / "bad.json"
     source.write_text(json.dumps({"n": 1, "steps": [{"gate": "CNOT", "targets": [0, 1]}]}))
@@ -311,6 +340,20 @@ def test_bench_rejects_oversized_group_before_drawing_its_vector(capsys):
     tracemalloc.start()
     try:
         code, out, err = _run(capsys, "bench", "--group", "Z2^40", "--methods", "walsh")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("method", ["dense", "tower", "radix2", "walsh"])
+def test_fft_rejects_oversized_group_before_allocating(tmp_path, capsys, method):
+    source = _write_vector(tmp_path / "short.json", np.array([1.0, 0.0]))
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "fft", "--group", "Z2^40", "--input", source, "--method", method)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Property tests over random groups: the array group arithmetic against coordinate arithmetic,
-and the tower transform against the dense oracle whatever tower it runs on."""
+the tower transform against the dense oracle whatever tower it runs on, and the transform's
+Parseval identity and shift duality."""
 from __future__ import annotations
 
 from math import prod
@@ -15,14 +16,16 @@ from abelianfft import (
     SubgroupTower,
     apply_dense,
     build_tower,
+    character_phases,
     coset_decompose,
     fft_tower,
     make_group,
+    shift_vector,
     subgroup_from_generators,
     trivial_subgroup,
 )
 
-from test_acceptance import TOL_TRANSFORM
+from test_acceptance import TOL_EXACT_DIST, TOL_TRANSFORM
 
 MAX_ORDER = 512
 
@@ -110,3 +113,28 @@ def test_tower_transform_matches_dense_on_any_tower(group, seed):
         base = tower.levels[-1].order
         assert report.complex_multiplies == group.order * (sum(tower.indices) + base + 1)
         assert report.complex_adds == group.order * (sum(i - 1 for i in tower.indices) + base - 1)
+
+
+def _random_vector(group, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+
+
+@_SETTINGS
+@given(groups().filter(lambda group: group.order > 1), st.integers(0, 2**32 - 1))
+def test_tower_transform_keeps_the_norm(group, seed):
+    vec = _random_vector(group, seed)
+    out, _ = fft_tower(group, build_tower(group), vec)
+    assert abs(np.linalg.norm(out) - np.linalg.norm(vec)) < TOL_EXACT_DIST * np.linalg.norm(vec)
+
+
+@_SETTINGS
+@given(group_and_elements(max_size=1).filter(lambda case: case[0].order > 1), st.integers(0, 2**32 - 1))
+def test_shift_multiplies_each_spectral_line_by_its_character(case, seed):
+    group, (shift,) = case
+    vec = _random_vector(group, seed)
+    tower = build_tower(group)
+    spectrum, _ = fft_tower(group, tower, vec)
+    shifted, _ = fft_tower(group, tower, shift_vector(group, shift, vec))
+    eig = np.exp((2j * np.pi / group.lcm) * character_phases(group, shift))
+    assert np.max(np.abs(shifted - eig * spectrum)) < TOL_EXACT_DIST

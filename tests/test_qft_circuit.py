@@ -207,3 +207,25 @@ def test_apply_wire_permutation_moves_bits():
     state = basis_state(3, 0b011)
     out = apply_wire_permutation(state, (1, 2, 0))
     assert out.amps[0b101] == pytest.approx(1.0)
+
+
+def _permute_by_bit_loop(amps, permutation):
+    # Output index j reads the input index whose bit permutation[x] is bit x of j.
+    n = len(permutation)
+    idx = np.arange(1 << n, dtype=np.int64)
+    source = np.zeros(1 << n, dtype=np.int64)
+    for x, w in enumerate(permutation):
+        source |= ((idx >> x) & 1) << w
+    return amps[source]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_apply_wire_permutation_matches_the_bit_loop(n):
+    rng = np.random.default_rng(300 + n)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    state = QState(n, amps / np.linalg.norm(amps))
+    for _ in range(5):
+        permutation = tuple(rng.permutation(n).tolist())
+        out = apply_wire_permutation(state, permutation)
+        assert np.array_equal(out.amps, _permute_by_bit_loop(state.amps, permutation))
+        assert not np.shares_memory(out.amps, state.amps)

@@ -1,8 +1,12 @@
 """Strided gate kernels against dense Kronecker oracles, measurement semantics, program JSON."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelianfft import (
     Gate,
@@ -24,8 +28,10 @@ from abelianfft import (
     sample,
     swap_gate,
 )
+from abelianfft import simulator
 from abelianfft.simulator import STATE_CAP
 
+from test_acceptance import TOL_KRON
 from testutil import one_qubit_dense, random_unitary, two_qubit_dense
 
 
@@ -52,6 +58,8 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Gate(np.array([[1, 1], [0, 1]]), (0,))  # not unitary
     with pytest.raises(ValueError):
+        Gate(np.diag([1, 1, 1, 1.5]), (0, 1))  # not unitary
+    with pytest.raises(ValueError):
         Gate(np.eye(3), (0,))  # bad shape
     with pytest.raises(ValueError):
         Gate(np.eye(4), (1, 1))  # repeated targets
@@ -61,6 +69,22 @@ def test_gate_validation():
         cphase(0, 1, 0)
     with pytest.raises(ValueError):
         cphase(0, 1, exponent=-2)
+
+
+def test_named_gates_share_one_read_only_matrix():
+    for build in (hadamard, pauli_x, lambda t: cnot(t, 5), lambda t: swap_gate(5, t), lambda t: cphase(t, 5, 3)):
+        first, second = build(0), build(2)
+        assert first.matrix is second.matrix
+        assert not first.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            first.matrix[0, 0] = 0.0
+    assert cphase(0, 1, 2).matrix is not cphase(0, 1, 3).matrix
+    # Past 2^-1074 the phase is exactly 1: one shared identity, however large the exponent.
+    assert np.array_equal(cphase(0, 1, 1100).matrix, np.eye(4))
+    assert cphase(0, 1, 1100).matrix is cphase(0, 1, 10**9).matrix and cphase(0, 1, 10**9).param == 10**9
+    # A raw matrix is its own, and checked: a writable copy of a named matrix is frozen too.
+    raw = Gate(hadamard(0).matrix.copy(), (1,))
+    assert raw.matrix is not hadamard(0).matrix and not raw.matrix.flags.writeable
 
 
 def test_state_validation():
@@ -287,3 +311,110 @@ def test_gate_sequence_unitarity_preserved():
         else:
             state = apply_1q(state, hadamard(int(rng.integers(5))))
     assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-10)
+
+
+_KRON_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_ONE_QUBIT_KINDS = ("H", "X", "U2")
+_TWO_QUBIT_KINDS = ("CNOT", "SWAP", "CPHASE", "U4")
+_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_CNOT = np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]
+_SWAP = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
+
+
+def _gate_and_oracle(kind, wires, exponent, rng):
+    """The gate under test and the matrix the Kronecker oracle applies, built apart from the package."""
+    if kind == "H":
+        return hadamard(*wires), _H
+    if kind == "X":
+        return pauli_x(*wires), _X
+    if kind == "CNOT":
+        return cnot(*wires), _CNOT
+    if kind == "SWAP":
+        return swap_gate(*wires), _SWAP
+    if kind == "CPHASE":
+        return cphase(*wires, exponent=exponent), np.diag([1, 1, 1, np.exp(2j * np.pi / 2**exponent)])
+    matrix = random_unitary(2 if kind == "U2" else 4, rng)
+    return Gate(matrix, wires), matrix
+
+
+@st.composite
+def _programs(draw):
+    n = draw(st.integers(1, 8))
+    kinds = _ONE_QUBIT_KINDS + (_TWO_QUBIT_KINDS if n > 1 else ())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        # Any ordered pair of distinct wires: both target orders, adjacent and distant, the top wire.
+        wires = tuple(draw(st.permutations(range(n)))[: 1 if kind in _ONE_QUBIT_KINDS else 2])
+        steps.append(_gate_and_oracle(kind, wires, draw(st.integers(1, 6)), rng))
+    return n, steps, _random_state(n, rng)
+
+
+@_KRON_SETTINGS
+@given(_programs())
+def test_run_program_matches_kron_oracle(case):
+    n, steps, initial = case
+    want = initial.amps
+    for gate, matrix in steps:
+        if gate.arity == 1:
+            want = one_qubit_dense(n, matrix, gate.targets[0]) @ want
+        else:
+            want = two_qubit_dense(n, matrix, *gate.targets) @ want
+    got = run_program(Program(n, tuple(gate for gate, _ in steps)), initial)
+    assert np.max(np.abs(got.amps - want)) < TOL_KRON
+
+
+def _every_kind_on_every_wire(n, rng):
+    gates = []
+    for t in range(n):
+        gates += [hadamard(t), pauli_x(t), Gate(random_unitary(2, rng), (t,))]
+    for hi in range(n):
+        for lo in range(n):
+            if hi != lo:
+                gates += [cnot(hi, lo), swap_gate(hi, lo), cphase(hi, lo, 1 + (hi + lo) % 4),
+                          Gate(random_unitary(4, rng), (hi, lo))]
+    return Program(n, tuple(gates))
+
+
+def test_blocked_kernels_equal_the_unblocked_ones(monkeypatch):
+    rng = np.random.default_rng(61)
+    n = 7
+    program = _every_kind_on_every_wire(n, rng)
+    initial = _random_state(n, rng)
+
+    def results():
+        singles = [(apply_1q if gate.arity == 1 else apply_2q)(initial, gate).amps for gate in program.steps]
+        return [run_program(program, initial).amps] + singles
+
+    whole = results()
+    monkeypatch.setattr(simulator, "_BLOCK", 4)
+    blocked = results()
+    assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
+
+
+def test_top_wire_gates_need_no_state_sized_temporary():
+    n = 22
+    state = new_state(n)
+    size = state.amps.nbytes
+    program = Program(n, (hadamard(n - 1), cnot(n - 1, 0), swap_gate(n - 1, 3), pauli_x(n - 1), cphase(0, n - 1)))
+    tracemalloc.start()
+    try:
+        out = apply_1q(state, hadamard(n - 1))
+        peak_1q = tracemalloc.get_traced_memory()[1]
+        del out
+        tracemalloc.reset_peak()
+        final = run_program(program)
+        peak_program = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One copy of the state is the result; the kernels' own blocks stay within a few MiB.
+    assert peak_1q < size + 8 * 2**20, f"peak {peak_1q / 2**20:.1f} MiB"
+    assert peak_program < size + 8 * 2**20, f"peak {peak_program / 2**20:.1f} MiB"
+    # |0..0> -> (|0..0> + |10..0>)/sqrt(2) -> CNOT flips bit 0 on the second -> SWAP moves bit 21 to bit 3
+    # -> X sets bit 21 on both -> CPHASE(0, 21) gives the one with bits 0 and 21 set the phase -1.
+    want = {1 << 21: 1 / np.sqrt(2), (1 << 21) | 0b1001: -1 / np.sqrt(2)}
+    assert np.count_nonzero(final.amps) == 2
+    for index, amp in want.items():
+        assert abs(final.amps[index] - amp) < 1e-15
