@@ -10,13 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .dense import _as_vector
-from .groups import (
-    AbelianGroup,
-    Subgroup,
-    character_phases,
-    coset_decompose,
-    make_group,
-)
+from .groups import AbelianGroup, Subgroup, _element_order, make_group
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -46,7 +40,7 @@ class SubgroupTower:
         if not self.levels:
             raise ValueError("a tower needs at least one level")
         previous_order = self.group.order
-        previous_set = None
+        previous = None
         for depth, level in enumerate(self.levels):
             if level.parent != self.group:
                 raise ValueError(f"tower level {depth} belongs to a different group")
@@ -54,10 +48,12 @@ class SubgroupTower:
                 raise ValueError(f"tower level {depth} does not shrink: {level.order} >= {previous_order}")
             if previous_order % level.order != 0:
                 raise ValueError(f"tower level {depth} order {level.order} does not divide {previous_order}")
-            if previous_set is not None and not set(level.members) <= previous_set:
-                raise ValueError(f"tower level {depth} is not contained in level {depth - 1}")
+            if previous is not None:
+                found = previous[np.minimum(np.searchsorted(previous, level._indices), len(previous) - 1)]
+                if not np.array_equal(found, level._indices):
+                    raise ValueError(f"tower level {depth} is not contained in level {depth - 1}")
             previous_order = level.order
-            previous_set = set(level.members)
+            previous = level._indices
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -77,25 +73,24 @@ def _smallest_prime_factor(n: int) -> int:
 
 
 def build_tower(group: AbelianGroup) -> SubgroupTower:
-    """Peel one prime at a time from the leftmost unfinished factor, down to the trivial subgroup."""
+    """Peel one prime at a time from the leftmost unfinished factor, down to the trivial subgroup.
+
+    Each level is d_1 Z_m1 x ... x d_r Z_mr for growing divisors d_i, found among the members
+    of the level before it, so building the tower reads each coordinate column once per level
+    only for the members still left.
+    """
     if group.order == 1:
         raise ValueError("the trivial group has no proper subgroup chain")
-    divisors = [1] * group.rank
+    members = np.arange(group.order, dtype=np.int64)
     levels: list[Subgroup] = []
-    while True:
-        position = next((i for i, (d, m) in enumerate(zip(divisors, group.moduli)) if d < m), None)
-        if position is None:
-            break
-        divisors[position] *= _smallest_prime_factor(group.moduli[position] // divisors[position])
-        members = _multiples_subgroup(group, divisors)
-        levels.append(Subgroup(group, members))
+    for position, m in enumerate(group.moduli):
+        column = group.coords_table[:, position]
+        divisor = 1
+        while divisor < m:
+            divisor *= _smallest_prime_factor(m // divisor)
+            members = members[column[members] % np.int64(divisor) == 0]
+            levels.append(Subgroup(group, members))
     return SubgroupTower(group, tuple(levels))
-
-
-def _multiples_subgroup(group: AbelianGroup, divisors: Sequence[int]) -> tuple[int, ...]:
-    # Member indices of the subgroup d_1 Z_m1 x ... x d_r Z_mr: each coordinate divisible by its d_i.
-    divisible = np.all(group.coords_table % np.asarray(divisors, dtype=np.int64) == 0, axis=1)
-    return tuple(np.flatnonzero(divisible).tolist())
 
 
 def predict_cost(order: int, suborder: int) -> int:
@@ -107,12 +102,16 @@ def predict_cost(order: int, suborder: int) -> int:
     return order * (suborder + order // suborder)
 
 
-def _char_matrix(group: AbelianGroup, labels: Sequence[int], args: Sequence[int]) -> np.ndarray:
-    # chi_label(arg) for each label row and arg column, from exact integer phases.
+def _phases(group: AbelianGroup, labels: np.ndarray, args: Sequence[int] | np.ndarray) -> np.ndarray:
+    # Integer phase numerators of chi_label(arg), one row per label and one column per arg.
     table = group.coords_table
-    weighted = table[np.asarray(labels, dtype=np.int64)] * np.asarray(group.char_weights, dtype=np.int64)
-    phases = (weighted @ table[np.asarray(args, dtype=np.int64)].T) % group.lcm
-    return np.exp((2j * np.pi / group.lcm) * phases)
+    weighted = np.take(table, args, axis=0) * np.asarray(group.char_weights, dtype=np.int64)
+    return np.einsum("ik,jk->ij", np.take(table, labels, axis=0), weighted) % group.lcm
+
+
+def _char_matrix(group: AbelianGroup, labels: np.ndarray, args: np.ndarray) -> np.ndarray:
+    # chi_label(arg) for each label row and arg column, from exact integer phases.
+    return np.exp((2j * np.pi / group.lcm) * _phases(group, labels, args))
 
 
 class _TowerPlan:
@@ -127,44 +126,59 @@ class _TowerPlan:
     being the group), node i's children being nodes i*R .. i*R + R - 1 for
     the R coset representatives of that level.  `base_gather` holds, row by
     node, the input indices each deepest node transforms.
+
+    Each level is planned from the one above it alone.  The labels trivial on
+    the level, one per class above, stand for the characters of (level above) /
+    level: translating by them merges the classes above into the level's
+    classes, and their phases on the members above tell the level's cosets
+    apart.  So a level costs O(|level above|) translates and phases plus one
+    O(|G|) relabelling, and nothing runs once per generator over the whole group.
     """
 
     def __init__(self, tower: SubgroupTower) -> None:
         group = tower.group
-        member_lists = [np.arange(group.order)] + [level.members for level in tower.levels]
-
-        # Label classes per level: level 0 is the full group, one class per label.  Below it, two
-        # labels share a class when their characters agree on the level's generators, hence on
-        # the level; the pairing is symmetric, so chi_k(gen) is character_phases(gen) at k.
-        # Classes are numbered in the order of their minimal labels.
-        labels = np.arange(group.order, dtype=np.int64)
-        class_reps: list[np.ndarray] = [labels]
-        class_of: list[np.ndarray] = [labels]
-        for level in tower.levels:
-            # One generator at a time, renumbered after each so that key * lcm stays below |G| * lcm.
-            key = np.zeros(group.order, dtype=np.int64)
-            for gen in level.generators():
-                _, key = np.unique(key * group.lcm + character_phases(group, gen), return_inverse=True)
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            by_rep = np.argsort(first)
-            class_reps.append(first[by_rep])
-            class_of.append(np.argsort(by_rep)[inverse])
-
+        everything = np.arange(group.order, dtype=np.int64)
+        # The level above: its members, the least label of each of its classes (ascending, so a
+        # class is numbered by its least label), and the class of every label.
+        above, labels, class_of = everything, everything, everything
+        # Per level: the minimal representative of each of its cosets in the level above, the
+        # twiddles of those representatives, and the class below of each class above.
+        self.reps: list[np.ndarray] = []
         self.twiddles: list[np.ndarray] = []
         self.child_class: list[np.ndarray] = []
         # Coset offsets of every node, one translate per level.
         shifts = np.zeros(1, dtype=np.int64)
-        for j, level in enumerate(tower.levels):
-            # Minimal representative of each coset of the child level inside level j.
-            reps = np.asarray(coset_decompose(group, level).representatives, dtype=np.int64)
-            reps = reps[np.isin(reps, member_lists[j])]
-            self.twiddles.append(_char_matrix(group, class_reps[j], reps))
-            self.child_class.append(class_of[j + 1][class_reps[j]])
+        for level in tower.levels:
+            index = len(above) // level.order
+            trivial = labels
+            for gen in level.generators():
+                trivial = trivial[_phases(group, trivial, [gen])[:, 0] == 0]
+            # least[c]: the least class above merged with class c so far.  Greedy generators of
+            # the trivial labels (modulo the classes above) each merge classes along their cycles
+            # by doubling, as coset_decompose does, and key the members above by their phases.
+            least = np.arange(len(labels))
+            coset = None
+            trivial_classes = np.searchsorted(labels, trivial)
+            while (pending := trivial_classes[least[trivial_classes] != 0]).size:
+                gen = int(labels[pending[0]])
+                step, window = class_of[group.translate(labels, gen)], 1
+                while window < min(_element_order(group, gen), index):
+                    least = np.minimum(least, least[step])
+                    step, window = step[step], 2 * window
+                phase = _phases(group, above, [gen])[:, 0]
+                coset = phase if coset is None else np.unique(coset * group.lcm + phase, return_inverse=True)[1]
+            _, first = np.unique(coset, return_index=True)
+            reps = above[np.sort(first)]
+            is_least = least == np.arange(len(labels))
+            child = (np.cumsum(is_least) - 1)[least]
+            self.reps.append(reps)
+            self.twiddles.append(_char_matrix(group, labels, reps))
+            self.child_class.append(child)
             shifts = group.translate(shifts[:, None], reps[None, :]).reshape(-1)
+            above, labels, class_of = level._indices, labels[is_least], child[class_of]
 
-        base = tower.levels[-1]
-        self.base_gather = group.translate(shifts[:, None], np.asarray(base.members, dtype=np.int64)[None, :])
-        self.base_table = _char_matrix(group, class_reps[-1], base.members)
+        self.base_gather = group.translate(shifts[:, None], above[None, :])
+        self.base_table = _char_matrix(group, labels, above)
 
 
 # Upper bound on the entries of the (node, class, rep) block the upward pass combines at once.

@@ -69,8 +69,15 @@ class AbelianGroup:
 
     @cached_property
     def coords_table(self) -> np.ndarray:
-        """Coordinates of every element by index, shape (order, rank).  Read-only."""
-        table = self._coords(np.arange(self.order, dtype=np.int64))
+        """Coordinates of every element by index, shape (order, rank).  Read-only.
+
+        Built once per group, in the smallest unsigned dtype that holds every coordinate (uint8
+        up to modulus 256, int64 above 2**32), so it takes order * rank bytes for small moduli
+        and reading the coordinates of n indices is one gather of n rows.
+        """
+        table = np.empty((self.order, self.rank), dtype=self._coord_dtype)
+        for k, (m, w) in enumerate(zip(self.moduli, self.weights)):
+            table[:, k].reshape(-1, m, w)[...] = np.arange(m, dtype=self._coord_dtype)[:, None]
         table.setflags(write=False)
         return table
 
@@ -102,41 +109,62 @@ class AbelianGroup:
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
     @cached_property
-    def _radix(self) -> tuple[np.ndarray, np.ndarray]:
-        # Moduli and place values as int64 arrays, matched to a trailing coordinate axis.
-        return np.asarray(self.moduli, dtype=np.int64), np.asarray(self.weights, dtype=np.int64)
+    def _coord_dtype(self) -> np.dtype:
+        top = max(self.moduli) - 1
+        return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.int64) if top <= np.iinfo(t).max)
 
-    def _coords(self, indices: Indices) -> np.ndarray:
-        # Coordinates of each index along a new last axis; rejects non-integer or out-of-range input.
+    @cached_property
+    def _radix(self) -> tuple[np.ndarray, np.ndarray]:
+        # Per factor: its largest coordinate m - 1 (coordinate dtype) and the index value m * w
+        # of a carry out of it, which wraps to zero.
+        top = np.asarray([m - 1 for m in self.moduli], dtype=self._coord_dtype)
+        carry = np.asarray([m * w for m, w in zip(self.moduli, self.weights)], dtype=np.int64)
+        return top, carry
+
+    def _checked(self, indices: Indices) -> np.ndarray:
+        # Int64 element indices; rejects non-integer or out-of-range input.
         idx = np.asarray(indices)
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"element indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.int64, copy=False)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.order):
+        # Negative indices read as unsigned are above every order, so one maximum checks both ends.
+        if idx.size and idx.view(np.uint64).max() >= self.order:
             outside = idx[(idx < 0) | (idx >= self.order)]
             raise ValueError(f"element index {outside[0]} out of range for group of order {self.order}")
-        moduli, weights = self._radix
-        return (idx[..., None] // weights) % moduli
+        return idx
+
+    def _coords(self, idx: np.ndarray) -> np.ndarray:
+        # Rows of coords_table for checked indices.  A cyclic group's table is the identity, so its
+        # indices are their own coordinates and no table is built, whatever the order.
+        if self.rank == 1:
+            return idx.astype(self._coord_dtype)[..., None]
+        return self.coords_table.take(idx, axis=0)
 
     def translate(self, indices: Indices, shift: Indices) -> np.ndarray:
         """Indices of the sums indices + shift, elementwise with numpy broadcasting.
 
-        Raises ValueError on non-integer or out-of-range indices instead of letting
-        numpy wrap negative ones.
+        Computed in index space as indices + shift minus m_i * w_i for every factor i whose
+        coordinates carry (a_i + s_i >= m_i): one gather of coords_table rows per operand, one
+        comparison and one weighted sum, with O(rank) byte-sized temporaries per element.  A
+        group of rank 2 or more builds coords_table on its first call.  Int64 wrap-around in the intermediate sum cancels, so the result is exact for orders up
+        to 2**63 - 1.  Raises ValueError on non-integer or out-of-range indices instead of
+        letting numpy wrap negative ones.
         """
-        moduli, _ = self._radix
-        # a - (m - b) keeps every intermediate inside int64 even for moduli near 2**63.
-        return self._index(self._coords(indices) - (moduli - self._coords(shift)))
+        a, s = self._checked(indices), self._checked(shift)
+        top, carry = self._radix
+        wraps = self._coords(a) > top - self._coords(s)
+        # Ufuncs, not scalar operators: they wrap silently on 0-d input too.
+        return np.subtract(np.add(a, s), np.einsum("...j,j->...", wraps, carry))
 
     def negate(self, indices: Indices) -> np.ndarray:
-        """Indices of the inverses -indices, elementwise, validated as in translate."""
-        moduli, _ = self._radix
-        return self._index(moduli - self._coords(indices))
+        """Indices of the inverses -indices, elementwise, validated as in translate.
 
-    def _index(self, coords: np.ndarray) -> np.ndarray:
-        # Element indices of coordinates on the last axis, reduced modulo the factor orders.
-        moduli, weights = self._radix
-        return (coords % moduli) @ weights
+        Each nonzero coordinate a_i becomes m_i - a_i, so -x is the sum of m_i * w_i over the
+        factors where x is nonzero, minus x.
+        """
+        a = self._checked(indices)
+        _, carry = self._radix
+        return np.subtract(np.einsum("...j,j->...", self._coords(a) != 0, carry), a)
 
     def add_index(self, i: int, j: int) -> int:
         """Validated scalar form of translate."""
@@ -207,7 +235,7 @@ def character_phases(group: AbelianGroup, label: int | Sequence[int]) -> np.ndar
     """Integer phase numerators of chi_label over every element, in index order."""
     coords = group.coords_of(label) if isinstance(label, (int, np.integer)) else group.validate_coords(label)
     mult = np.array([c * w for c, w in zip(coords, group.char_weights)], dtype=np.int64)
-    return (group.coords_table @ mult) % group.lcm
+    return np.einsum("ij,j->i", group.coords_table, mult) % group.lcm
 
 
 def _mask_of(group: AbelianGroup, indices: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -226,35 +254,48 @@ def _annihilated_mask(group: AbelianGroup, labels: Iterable[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by the sorted element indices of its members."""
+    """A subgroup given by the sorted element indices of its members.
+
+    The members may be passed as any sequence or integer array, in any order and with repeats;
+    they are kept sorted and distinct, as a tuple.  Construction checks that they form a
+    subgroup: it closes the set under the greedy generators below and rejects it if the closure
+    is larger.  That costs about one translate per member and no pass over the whole group, so
+    a small subgroup of a large group is cheap.
+    """
 
     parent: AbelianGroup
     members: tuple[int, ...]
     # Greedy generators, found while checking closure.
     _generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The members as a read-only sorted int64 array.
+    _indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        members = tuple(sorted(set(int(i) for i in self.members)))
-        object.__setattr__(self, "members", members)
-        if not members:
+        idx = np.asarray(self.members)
+        if not idx.size:
             raise ValueError("a subgroup cannot be empty")
-        for i in (members[0], members[-1]):
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"member indices must be integers, got dtype {idx.dtype}")
+        # Sort and drop repeats.  np.unique would take its hash path here, which imports numpy.ma
+        # and costs every process about 1.6 MB of resident memory.
+        idx = np.sort(idx.astype(np.int64))
+        idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+        for i in (idx[0], idx[-1]):
             if not 0 <= i < self.parent.order:
                 raise ValueError(f"member index {i} out of range for group of order {self.parent.order}")
-        if members[0] != 0:
+        if idx[0] != 0:
             raise ValueError("a subgroup must contain the identity element 0")
-        idx = np.asarray(members, dtype=np.int64)
-        mask = _mask_of(self.parent, idx)
-        lacking = idx[~mask[self.parent.negate(idx)]]
-        if lacking.size:
-            raise ValueError(f"member {lacking[0]} has no inverse in the set: not closed under negation")
-        gens, closure = _greedy_closure(self.parent, mask)
-        if not np.array_equal(closure, mask):
-            missing = np.flatnonzero(closure & ~mask)[:4].tolist()
+        # A finite set closed under addition is a subgroup.  The closure of the greedy generators
+        # contains the set, so it is closed exactly when that closure is no larger; the closure
+        # stops growing once it is, which bounds the work by the set's size.
+        gens, closure = _greedy_closure(self.parent, idx, limit=len(idx))
+        if len(closure) != len(idx):
+            missing = np.sort(closure[~_mask_of(self.parent, idx)[closure]])[:4].tolist()
             raise ValueError(f"member set is not closed under addition (missing {missing})")
-        if self.parent.order % len(members) != 0:
-            raise ValueError(f"subgroup size {len(members)} does not divide group order {self.parent.order}")
+        idx.setflags(write=False)
+        object.__setattr__(self, "members", tuple(idx.tolist()))
         object.__setattr__(self, "_generators", tuple(gens))
+        object.__setattr__(self, "_indices", idx)
 
     @cached_property
     def order(self) -> int:
@@ -272,35 +313,46 @@ class Subgroup:
         return self._generators
 
 
-def _extend_closure(group: AbelianGroup, mask: np.ndarray, gen: int) -> None:
-    # Closure of a subgroup mask H and gen, in place: H + {0 .. 2^s - 1} gen doubles each step
-    # until a shift adds nothing, which happens once 2^s reaches the index of gen modulo H.
+def _extend_closure(
+    group: AbelianGroup, mask: np.ndarray, members: np.ndarray, gen: int, limit: int
+) -> np.ndarray:
+    # Closure of a subgroup H (its mask and member array) and gen: the mask is extended in place
+    # and the extended member array returned.  H + {0 .. 2^s - 1} gen doubles each step until
+    # 2^s gen is already inside, which happens once 2^s reaches the order of gen modulo H; only
+    # the last doubling can overlap what is there.  Stops early once more than `limit` members.
     step = gen
-    while True:
-        shifted = group.translate(np.flatnonzero(mask), step)
-        if mask[shifted].all():
-            return
+    while not mask[step] and len(members) <= limit:
+        # One translate shifts the members and doubles the step.
+        shifted = group.translate(np.append(members, step), step)
+        step, shifted = shifted[-1], shifted[:-1]
+        shifted = shifted[~mask[shifted]]
         mask[shifted] = True
-        step = group.translate(step, step)
+        members = np.concatenate((members, shifted))
+    return members
 
 
-def _greedy_closure(group: AbelianGroup, candidates: np.ndarray) -> tuple[list[int], np.ndarray]:
-    # Greedy generators of the candidate mask (each the smallest candidate outside the closure
-    # so far) and the mask of their closure.
-    closure = _mask_of(group, [0])
+def _greedy_closure(group: AbelianGroup, candidates: np.ndarray, limit: int) -> tuple[list[int], np.ndarray]:
+    # Greedy generators of the sorted candidate indices (each the smallest candidate outside the
+    # closure so far) and the member indices of their closure, unsorted; stops early once the
+    # closure has more than `limit` members.
+    mask = _mask_of(group, [0])
+    closure = np.zeros(1, dtype=np.int64)
     gens: list[int] = []
-    while True:
-        pending = np.flatnonzero(candidates & ~closure)
+    pending = candidates
+    while len(closure) <= limit:
+        pending = pending[~mask[pending]]
         if not pending.size:
-            return gens, closure
+            break
         gens.append(int(pending[0]))
-        _extend_closure(group, closure, gens[-1])
+        closure = _extend_closure(group, mask, closure, gens[-1], limit)
+    return gens, closure
 
 
 def subgroup_from_generators(group: AbelianGroup, generators: Iterable[Sequence[int]]) -> Subgroup:
     """The smallest subgroup containing the given elements (coordinate tuples)."""
-    _, closure = _greedy_closure(group, _mask_of(group, [group.index_of(g) for g in generators]))
-    return Subgroup(group, tuple(np.flatnonzero(closure).tolist()))
+    candidates = np.asarray(sorted({group.index_of(g) for g in generators}), dtype=np.int64)
+    _, closure = _greedy_closure(group, candidates, limit=group.order)
+    return Subgroup(group, closure)
 
 
 def trivial_subgroup(group: AbelianGroup) -> Subgroup:
@@ -308,7 +360,7 @@ def trivial_subgroup(group: AbelianGroup) -> Subgroup:
 
 
 def full_subgroup(group: AbelianGroup) -> Subgroup:
-    return Subgroup(group, tuple(range(group.order)))
+    return Subgroup(group, np.arange(group.order))
 
 
 @dataclass(frozen=True)
@@ -326,6 +378,10 @@ class CosetDecomposition:
     slot_of: np.ndarray
 
 
+def _element_order(group: AbelianGroup, index: int) -> int:
+    return lcm(*(m // gcd(c, m) for c, m in zip(group.coords_of(index), group.moduli)))
+
+
 def coset_decompose(group: AbelianGroup, subgroup: Subgroup) -> CosetDecomposition:
     """Partition the group into cosets of the subgroup."""
     if subgroup.parent != group:
@@ -334,14 +390,14 @@ def coset_decompose(group: AbelianGroup, subgroup: Subgroup) -> CosetDecompositi
     # rep[e] = min(e + H): fold each generator's cycle in by doubling the window of multiples.
     rep = elements
     for gen in subgroup.generators():
-        cycle = lcm(*(m // gcd(c, m) for c, m in zip(group.coords_of(gen), group.moduli)))
+        cycle = _element_order(group, gen)
         step, window = group.translate(elements, gen), 1
         while window < cycle:
             rep = np.minimum(rep, rep[step])
             step, window = step[step], 2 * window
     representatives, coset_of = np.unique(rep, return_inverse=True)
     offsets = group.translate(elements, group.negate(rep))
-    members = np.asarray(subgroup.members, dtype=np.int64)
+    members = subgroup._indices
     slot_of = np.minimum(np.searchsorted(members, offsets), len(members) - 1)
     if len(representatives) * len(members) != group.order or not np.array_equal(members[slot_of], offsets):
         raise ValueError("coset overlap: member set is not a subgroup")
@@ -362,7 +418,7 @@ def annihilator(group: AbelianGroup, elements: Subgroup | Iterable[int]) -> Subg
         idxs: Iterable[int] = elements.generators()
     else:
         idxs = sorted(set(int(i) for i in elements))
-    return Subgroup(group, tuple(np.flatnonzero(_annihilated_mask(group, idxs)).tolist()))
+    return Subgroup(group, np.flatnonzero(_annihilated_mask(group, idxs)))
 
 
 def enumerate_subgroups(group: AbelianGroup) -> list[Subgroup]:
@@ -373,14 +429,14 @@ def enumerate_subgroups(group: AbelianGroup) -> list[Subgroup]:
     while frontier:
         next_frontier: list[Subgroup] = []
         for sub in frontier:
-            base = _mask_of(group, sub.members)
+            base = _mask_of(group, sub._indices)
             # The closure of H and g depends only on g + H: one element per other coset suffices.
             for g in coset_decompose(group, sub).representatives[1:]:
                 closure = base.copy()
-                _extend_closure(group, closure, g)
+                members = _extend_closure(group, closure, sub._indices, g, limit=group.order)
                 key = closure.tobytes()
                 if key not in seen:
-                    bigger = Subgroup(group, tuple(np.flatnonzero(closure).tolist()))
+                    bigger = Subgroup(group, members)
                     seen[key] = bigger
                     next_frontier.append(bigger)
         frontier = next_frontier

@@ -30,8 +30,8 @@ from .groups import (
     coset_decompose,
     full_subgroup,
 )
-from .qft_circuit import apply_qft
-from .simulator import STATE_CAP, QState, collapse_register
+from .qft_circuit import GateList, _run_network, compile_qft
+from .simulator import STATE_CAP, QState, _collapse
 
 # Group order caps for the two sampling routes.
 EXACT_CAP = 4096
@@ -119,11 +119,18 @@ def _nondegenerate_stabilizer(f: FunctionTable) -> Subgroup:
     return stabilizer
 
 
-def _read_value_register(f: FunctionTable, state: QState, rng: np.random.Generator) -> tuple[int, QState]:
+def _value_readings(f: FunctionTable, state: QState) -> np.ndarray:
+    # The value each basis index of the function state reads on its value register, the top qubits.
+    group_bits, _ = _register_widths(f)
+    return np.arange(1 << state.n_qubits) >> group_bits
+
+
+def _read_value_register(
+    f: FunctionTable, state: QState, readings: np.ndarray, rng: np.random.Generator
+) -> tuple[int, QState]:
     # Collapse the value register of the function state; return the value and the group register.
     group_bits, value_bits = _register_widths(f)
-    outcome, post = collapse_register(state, range(group_bits, group_bits + value_bits), rng)
-    observed = int(outcome, 2)
+    observed, post = _collapse(state, readings, value_bits, rng)
     offset = observed << group_bits
     register = post.amps[offset : offset + (1 << group_bits)]
     return observed, QState(group_bits, register)
@@ -136,7 +143,8 @@ def sample_coset_state(f: FunctionTable, rng: np.random.Generator) -> tuple[int,
     surviving state would not be a coset of the stabiliser.
     """
     _nondegenerate_stabilizer(f)
-    return _read_value_register(f, build_function_state(f), rng)
+    state = build_function_state(f)
+    return _read_value_register(f, state, _value_readings(f, state), rng)
 
 
 def _group_vector(state: QState | Sequence[complex] | np.ndarray, group: AbelianGroup) -> np.ndarray:
@@ -152,6 +160,11 @@ def _group_vector(state: QState | Sequence[complex] | np.ndarray, group: Abelian
     raise ValueError(f"state has length {amps.shape}, expected {group.order} (possibly padded)")
 
 
+def _network(group: AbelianGroup) -> GateList | None:
+    # The compiled transform network of Z_(2^n); None for groups transformed densely.
+    return compile_qft((group.order - 1).bit_length()) if group.is_cyclic_power_of_two else None
+
+
 def fourier_sample(
     coset_state: QState | Sequence[complex] | np.ndarray,
     group: AbelianGroup,
@@ -159,15 +172,25 @@ def fourier_sample(
     rng: np.random.Generator,
 ) -> list[int]:
     """Transform the group register and read it: a list of label indices."""
+    return _fourier_sample(coset_state, group, shots, rng, _network(group))
+
+
+def _fourier_sample(
+    coset_state: QState | Sequence[complex] | np.ndarray,
+    group: AbelianGroup,
+    shots: int,
+    rng: np.random.Generator,
+    network: GateList | None,
+) -> list[int]:
+    # fourier_sample with the group's transform network compiled by the caller.
     if shots < 1:
         raise ValueError(f"shot count {shots} must be positive")
     vec = _group_vector(coset_state, group)
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"group register norm {norm!r} is not 1")
-    if group.is_cyclic_power_of_two:
-        n = (group.order - 1).bit_length()
-        spectrum = apply_qft(QState(n, vec)).amps
+    if network is not None:
+        spectrum = _run_network(network, QState(network.n_qubits, vec)).amps
     else:
         spectrum = apply_dense(group, vec)
     probs = np.abs(spectrum) ** 2
@@ -194,7 +217,7 @@ def reconstruct_subgroup(group: AbelianGroup, labels: Sequence[int]) -> Subgroup
     if not distinct:
         warnings.warn("no labels observed: reconstruction is the whole group", stacklevel=2)
         return full_subgroup(group)
-    return Subgroup(group, tuple(np.flatnonzero(_annihilated_mask(group, distinct)).tolist()))
+    return Subgroup(group, np.flatnonzero(_annihilated_mask(group, distinct)))
 
 
 def _check_mode_order(order: int, mode: str) -> None:
@@ -227,7 +250,10 @@ def find_period(
     if mode == "exact":
         probs = label_distribution(group, stabilizer)
     else:
+        # What every shot shares is built once: the state, its value readings and the network.
         state = build_function_state(f)
+        readings = _value_readings(f, state)
+        network = _network(group)
 
     labels: list[int] = []
     mask = np.ones(group.order, dtype=bool)
@@ -238,15 +264,15 @@ def find_period(
         if mode == "exact":
             label = int(rng.choice(group.order, p=probs))
         else:
-            _, register = _read_value_register(f, state, rng)
-            label = fourier_sample(register, group, 1, rng)[0]
+            _, register = _read_value_register(f, state, readings, rng)
+            label = _fourier_sample(register, group, 1, rng, network)[0]
         labels.append(label)
         samples += 1
         mask &= _annihilated_mask(group, (label,))
         remaining = int(mask.sum())
         streak = streak + 1 if remaining == survivors else 0
         survivors = remaining
-    subgroup = Subgroup(group, tuple(np.flatnonzero(mask).tolist()))
+    subgroup = Subgroup(group, np.flatnonzero(mask))
     return StabilizerResult(subgroup, samples, tuple(labels), streak >= window)
 
 

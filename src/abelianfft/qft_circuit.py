@@ -109,5 +109,9 @@ def apply_wire_permutation(state: QState, permutation: tuple[int, ...]) -> QStat
 
 def apply_qft(state: QState) -> QState:
     """Run the compiled network on the state and undo the deferred wire relabelling."""
-    compiled = compile_qft(state.n_qubits, "relabel")
+    return _run_network(compile_qft(state.n_qubits, "relabel"), state)
+
+
+def _run_network(compiled: GateList, state: QState) -> QState:
+    # apply_qft for a network compiled once for many states of its width.
     return apply_wire_permutation(run_program(compiled.to_program(), state), compiled.final_permutation)

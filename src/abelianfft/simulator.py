@@ -137,8 +137,10 @@ class Gate:
     param: int | None = None
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.complex128)
+        matrix = self.matrix
         if id(matrix) not in _SHARED:
+            # A private copy, so freezing it leaves the caller's array writable.
+            matrix = np.array(matrix, dtype=np.complex128)
             _check_unitary(matrix)
             matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -329,16 +331,19 @@ def collapse_register(state: QState, qubits: Iterable[int], rng: np.random.Gener
         raise ValueError("collapse_register needs at least one qubit")
     for q in qs:
         _check_target(state, q)
-    values = _outcome_values(state.n_qubits, qs)
+    outcome, post = _collapse(state, _outcome_values(state.n_qubits, qs), len(qs), rng)
+    return format(outcome, f"0{len(qs)}b"), post
+
+
+def _collapse(state: QState, values: np.ndarray, width: int, rng: np.random.Generator) -> tuple[int, QState]:
+    # Measure a width-bit register that reads values[i] at basis index i; returns the outcome and
+    # the renormalised conditional state.
     p = _probabilities(state.amps)
-    width = len(qs)
     outcome_probs = np.bincount(values, weights=p, minlength=1 << width)
     outcome_probs /= outcome_probs.sum()
     outcome = int(rng.choice(1 << width, p=outcome_probs))
-    keep = values == outcome
-    post = np.where(keep, state.amps, 0.0)
-    post = post / np.linalg.norm(post)
-    return format(outcome, f"0{width}b"), QState(state.n_qubits, post)
+    post = np.where(values == outcome, state.amps, 0.0)
+    return outcome, QState(state.n_qubits, post / np.linalg.norm(post))
 
 
 def sample(state: QState, shots: int, rng: np.random.Generator) -> dict[str, int]:

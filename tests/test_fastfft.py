@@ -13,6 +13,8 @@ from abelianfft import (
     apply_dense,
     boolean_group,
     build_tower,
+    coset_decompose,
+    enumerate_subgroups,
     fft_radix2,
     fft_tower,
     make_group,
@@ -22,6 +24,8 @@ from abelianfft import (
     trivial_subgroup,
     walsh_hadamard,
 )
+from abelianfft.fastfft import _TowerPlan
+from abelianfft.groups import full_subgroup
 
 from test_acceptance import TOL_TRANSFORM
 from testutil import abelian_group_types, random_vector
@@ -247,6 +251,45 @@ def test_upward_pass_memory_stays_near_one_node():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     want = np.fft.ifftn(vec.reshape(moduli), norm="ortho").reshape(-1)
     assert np.max(np.abs(out - want)) < TOL_TRANSFORM
+
+
+def _towers(group, rng):
+    # build_tower's tower, the trivial tower, and random chains through the subgroup lattice.
+    yield build_tower(group)
+    yield SubgroupTower(group, (trivial_subgroup(group),))
+    subgroups = enumerate_subgroups(group)
+    below = {sub.members: [s for s in subgroups if s.order < sub.order and s.member_set <= sub.member_set]
+             for sub in subgroups}
+    for _ in range(4):
+        levels, current = [], subgroups[-1]
+        while below[current.members] and (not levels or rng.random() < 0.8):
+            current = below[current.members][rng.integers(len(below[current.members]))]
+            levels.append(current)
+        yield SubgroupTower(group, tuple(levels))
+
+
+@pytest.mark.parametrize("group", abelian_group_types(64), ids=lambda g: g.spec_string())
+def test_plan_representatives_are_the_parent_level_part_of_coset_decompose(group):
+    rng = np.random.default_rng(group.order)
+    for tower in _towers(group, rng):
+        plan = _TowerPlan(tower)
+        parents = [full_subgroup(group)] + list(tower.levels[:-1])
+        assert len(plan.reps) == len(tower.levels)
+        for reps, parent, level in zip(plan.reps, parents, tower.levels):
+            oracle = [r for r in coset_decompose(group, level).representatives if r in parent]
+            assert reps.tolist() == oracle
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 16, (2, 2, 2, 3, 3, 3, 5)], ids=str)
+def test_tower_matches_ifftn_at_high_rank(moduli):
+    group = make_group(list(moduli))
+    tower = build_tower(group)
+    vec = random_vector(group.order, np.random.default_rng(group.rank))
+    out, report = fft_tower(group, tower, vec)
+    want = np.fft.ifftn(vec.reshape(moduli), norm="ortho").reshape(-1)
+    assert np.max(np.abs(out - want)) < TOL_TRANSFORM
+    assert report.complex_multiplies == group.order * (sum(tower.indices) + 2)
+    assert report.complex_adds == group.order * sum(index - 1 for index in tower.indices)
 
 
 def test_predict_cost_values():

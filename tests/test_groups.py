@@ -1,6 +1,8 @@
 """Group plumbing: indexing, characters, subgroups, cosets, annihilators."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,47 @@ def test_translate_exact_for_moduli_near_the_index_limit():
     g = make_group([2**63 - 1])
     assert g.add_index(2**62, 2**62) == 1
     assert g.neg_index(5) == 2**63 - 6
+
+
+def _random_groups(rng):
+    # Ranks 1 to 16 with orders up to a few thousand, plus cyclic groups of order near 2**63.
+    for rank in range(1, 17):
+        for _ in range(3):
+            budget = 4096
+            moduli = []
+            for _ in range(rank):
+                moduli.append(int(rng.integers(1, max(2, budget) + 1)))
+                budget //= moduli[-1]
+            yield make_group(moduli)
+    for order in (2**63 - 1, 2**63 - 25, 2**62 + 1, 3 * 2**61):
+        yield make_group([order])
+
+
+def test_translate_negate_and_coords_table_match_the_scalar_oracle():
+    rng = np.random.default_rng(2024)
+    for g in _random_groups(rng):
+        if g.order <= 4096:
+            assert g.coords_table.tolist() == [list(g.coords_of(i)) for i in range(g.order)]
+            assert not g.coords_table.flags.writeable
+        a = rng.integers(0, g.order, 40, dtype=np.int64)
+        b = rng.integers(0, g.order, 40, dtype=np.int64)
+        sums = [g.index_of(g.add(g.coords_of(int(x)), g.coords_of(int(y)))) for x, y in zip(a, b)]
+        negs = [g.index_of(g.neg(g.coords_of(int(x)))) for x in a]
+        assert g.translate(a, b).tolist() == sums
+        assert g.negate(a).tolist() == negs
+        assert [g.add_index(int(x), int(y)) for x, y in zip(a, b)] == sums
+        assert [g.neg_index(int(x)) for x in a] == negs
+        # Broadcast: a column of indices against a row of shifts, and a scalar shift.
+        table = g.translate(a[:8, None], b[None, :5])
+        assert table.tolist() == [[g.add_index(int(x), int(y)) for y in b[:5]] for x in a[:8]]
+        assert g.translate(a, int(b[0])).tolist() == [g.add_index(int(x), int(b[0])) for x in a]
+        for bad in (-1, g.order, [0, -3], [[1, g.order]], np.array([0.0, 1.0]), 1.5):
+            with pytest.raises(ValueError):
+                g.translate(bad, 0)
+            with pytest.raises(ValueError):
+                g.translate(a[:3, None], bad)
+            with pytest.raises(ValueError):
+                g.negate(bad)
 
 
 def test_group_shape_predicates():
@@ -170,6 +213,20 @@ def test_subgroup_validation():
         Subgroup(g, (0, 9))
     assert Subgroup(g, (0, 4)).order == 2
     assert Subgroup(g, (0, 2, 4, 6)).order == 4
+
+
+def test_subgroup_check_stops_once_the_closure_outgrows_the_set():
+    # {0, 1, -1} is closed under negation but generates all of Z_(2^22); the check must reject it
+    # without building that closure (32 MiB of indices).
+    g = make_group([2**22])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="not closed under addition"):
+            Subgroup(g, (0, 1, g.order - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_subgroup_from_generators():

@@ -24,7 +24,7 @@ from abelianfft import (
     subgroup_from_generators,
     two_to_one_table,
 )
-from abelianfft import dense, period
+from abelianfft import dense, period, simulator
 from abelianfft.groups import trivial_subgroup
 from abelianfft.period import EXACT_CAP, SIMULATE_CAP
 
@@ -338,6 +338,29 @@ def test_find_period_simulate_labels_pinned():
     # Each shot draws once to read the value register and once to read the label, in that order.
     result = find_period(_mod_table(12, 3), 100, np.random.default_rng(5), mode="simulate")
     assert result.labels_seen == (8, 0, 4, 0, 8, 0, 8, 8, 4, 0, 0)
+
+
+def test_find_period_simulate_compiles_once_per_recovery(monkeypatch):
+    # The network and the value register's readings depend on the table alone: one compilation
+    # per recovery, and no per-shot rebuild of the O(n 2^n) outcome values.
+    calls = {"compile_qft": 0, "_outcome_values": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(period, "compile_qft")
+    counting(simulator, "_outcome_values")
+    table = FunctionTable(make_group([64]), tuple(v % 8 for v in range(64)))
+    result = find_period(table, 200, np.random.default_rng(3), mode="simulate")
+    assert result.converged and result.subgroup.members == tuple(range(0, 64, 8))
+    assert result.samples_used > 1
+    assert calls == {"compile_qft": 1, "_outcome_values": 0}
 
 
 def _planted_table(moduli, generators):

@@ -87,6 +87,14 @@ def test_named_gates_share_one_read_only_matrix():
     assert raw.matrix is not hadamard(0).matrix and not raw.matrix.flags.writeable
 
 
+def test_gate_leaves_the_callers_matrix_writable():
+    for matrix, targets in ((np.eye(2, dtype=np.complex128), (0,)), (np.eye(4, dtype=np.complex128), (0, 1))):
+        gate = Gate(matrix, targets)
+        assert matrix.flags.writeable and not gate.matrix.flags.writeable
+        matrix[0, 0] = 0.0
+        assert gate.matrix[0, 0] == 1.0
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         QState(1, np.array([1.0, 1.0]))  # norm sqrt(2)
