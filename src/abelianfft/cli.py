@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -31,15 +32,17 @@ _METHODS = ("dense", "tower", "radix2", "walsh")
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    if args.pretty:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.command == "qft-compile" and args.emit == "text":
+        text = _format_qft_text(payload)
+    elif args.pretty:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def _vector_from_json(obj: object, length: int) -> np.ndarray:
@@ -133,18 +136,13 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
             format(i, f"0{n}b"): p for i, p in zip(support.tolist(), probs[support].tolist())
         }
         del probs  # sampling builds its own normalised copy
+        if args.shots > 0:
+            payload["counts"] = sample(state, args.shots, np.random.default_rng(args.seed))
     else:
-        qubit = int(args.measure)
-        dist = measure_qubit_distribution(state, qubit)
+        dist = measure_qubit_distribution(state, int(args.measure))
         payload["distribution"] = {"0": dist[0], "1": dist[1]}
-    if args.shots > 0:
-        rng = np.random.default_rng(args.seed)
-        if args.measure == "all":
-            payload["counts"] = sample(state, args.shots, rng)
-        else:
-            qubit = int(args.measure)
-            dist = measure_qubit_distribution(state, qubit)
-            draws = rng.choice(2, size=args.shots, p=[dist[0], dist[1]])
+        if args.shots > 0:
+            draws = np.random.default_rng(args.seed).choice(2, size=args.shots, p=[dist[0], dist[1]])
             ones = int(draws.sum())
             payload["counts"] = {"0": args.shots - ones, "1": ones}
     return payload
@@ -203,9 +201,6 @@ def _cmd_period_find(args: argparse.Namespace) -> dict:
     table = _function_from_json(_load_json(args.function))
     rng = np.random.default_rng(args.seed)
     result = find_period(table, args.shots, rng, mode=args.mode)
-    histogram: dict[str, int] = {}
-    for label in result.labels_seen:
-        histogram[str(label)] = histogram.get(str(label), 0) + 1
     return {
         "group": table.group.spec_string(),
         "mode": args.mode,
@@ -213,7 +208,7 @@ def _cmd_period_find(args: argparse.Namespace) -> dict:
         "converged": result.converged,
         "samples_used": result.samples_used,
         "subgroup": _subgroup_payload(result.subgroup),
-        "labels_histogram": histogram,
+        "labels_histogram": dict(Counter(map(str, result.labels_seen))),
     }
 
 
@@ -231,10 +226,6 @@ def _cmd_simon(args: argparse.Namespace) -> dict:
     recovered = None
     if result.converged and result.subgroup.order == 2:
         recovered = format(result.subgroup.members[1], f"0{n}b")
-    histogram: dict[str, int] = {}
-    for label in result.labels_seen:
-        key = format(label, f"0{n}b")
-        histogram[key] = histogram.get(key, 0) + 1
     return {
         "n": n,
         "mask": args.mask,
@@ -242,7 +233,7 @@ def _cmd_simon(args: argparse.Namespace) -> dict:
         "converged": result.converged,
         "samples_used": result.samples_used,
         "recovered_mask": recovered,
-        "labels_histogram": histogram,
+        "labels_histogram": dict(Counter(format(label, f"0{n}b") for label in result.labels_seen)),
     }
 
 
@@ -345,14 +336,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = f": {error}" if str(error) else ""
         sys.stderr.write(f"error: out of memory{detail}\n")
         return 1
-    if args.command == "qft-compile" and args.emit == "text":
-        text = _format_qft_text(payload)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
     _emit(payload, args)
     return 0
 

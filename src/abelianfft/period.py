@@ -13,11 +13,17 @@ surviving labels, a unit-norm vector.)
 The default sampling mode computes that exact distribution classically and
 draws from it; full two-register simulation is kept as a cross-check path for
 small groups.
+
+Sampling is only sound when the table is one-to-one on the cosets of its
+stabiliser K.  Then K is the preimage of f(0), so both modes take K as that
+preimage and check it once: it must be a subgroup on whose cosets f is
+one-to-one.  A table that fails is degenerate and refused.
+`stabilizer_bruteforce`, which compares translates, is kept as the test oracle.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -49,15 +55,22 @@ class FunctionTable:
 
     group: AbelianGroup
     values: tuple[int, ...]
+    # The values as a read-only int64 array.
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.group.order:
-            raise ValueError(f"table has {len(values)} entries, group has order {self.group.order}")
-        for v in values:
-            if v < 0:
-                raise ValueError(f"value {v} is negative; the value register encodes nonnegative integers")
+        raw = np.asarray(self.values)
+        if raw.shape != (self.group.order,):
+            raise ValueError(f"table has {len(raw)} entries, group has order {self.group.order}")
+        if raw.dtype.kind not in "biu" or raw.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"table values must be integers in the int64 range, got dtype {raw.dtype}")
+        values = raw.astype(np.int64)
+        if (values < 0).any():
+            bad = values[np.argmax(values < 0)]
+            raise ValueError(f"value {bad} is negative; the value register encodes nonnegative integers")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", tuple(values.tolist()))
+        object.__setattr__(self, "_values", values)
 
 
 @dataclass(frozen=True)
@@ -84,7 +97,7 @@ def check_nondegenerate(f: FunctionTable, stabilizer: Subgroup) -> bool:
     if stabilizer.parent != f.group:
         raise ValueError("stabiliser belongs to a different group")
     dec = coset_decompose(f.group, stabilizer)
-    values = np.asarray(f.values, dtype=np.int64)
+    values = f._values
     rep_values = values[np.asarray(dec.representatives, dtype=np.int64)]
     if not np.array_equal(values, rep_values[dec.coset_of]):
         return False
@@ -93,7 +106,7 @@ def check_nondegenerate(f: FunctionTable, stabilizer: Subgroup) -> bool:
 
 def _register_widths(f: FunctionTable) -> tuple[int, int]:
     group_bits = max(1, (f.group.order - 1).bit_length())
-    value_bits = max(1, max(f.values).bit_length())
+    value_bits = max(1, int(f._values.max()).bit_length())
     if group_bits + value_bits > STATE_CAP:
         raise ValueError(
             f"register widths {group_bits}+{value_bits} exceed the {STATE_CAP}-qubit cap"
@@ -105,18 +118,21 @@ def build_function_state(f: FunctionTable) -> QState:
     """The uniform two-register state: group register in the low qubits, value register above."""
     group_bits, value_bits = _register_widths(f)
     amps = np.zeros(1 << (group_bits + value_bits), dtype=np.complex128)
-    scale = 1.0 / np.sqrt(f.group.order)
-    for g, v in enumerate(f.values):
-        amps[(v << group_bits) | g] = scale
+    amps[(f._values << group_bits) | np.arange(f.group.order)] = 1.0 / np.sqrt(f.group.order)
     return QState(group_bits + value_bits, amps)
 
 
 def _nondegenerate_stabilizer(f: FunctionTable) -> Subgroup:
-    # Sampling is only sound when the surviving state is a coset of the stabiliser.
-    stabilizer = stabilizer_bruteforce(f)
-    if not check_nondegenerate(f, stabilizer):
+    # A nondegenerate table's stabiliser is the preimage of f(0), and a preimage that is a subgroup
+    # on whose cosets f is one-to-one is the stabiliser: one check both finds and confirms it.
+    values = f._values
+    try:
+        preimage = Subgroup(f.group, np.flatnonzero(values == values[0]))
+    except ValueError:
+        preimage = None
+    if preimage is None or not check_nondegenerate(f, preimage):
         raise ValueError("function table is degenerate: equal values on distinct stabiliser cosets")
-    return stabilizer
+    return preimage
 
 
 def _value_readings(f: FunctionTable, state: QState) -> np.ndarray:
@@ -154,7 +170,7 @@ def _group_vector(state: QState | Sequence[complex] | np.ndarray, group: Abelian
         return amps
     if amps.ndim == 1 and amps.shape[0] >= group.order:
         tail = amps[group.order :]
-        if np.max(np.abs(tail), initial=0.0) > 1e-9:
+        if not np.max(np.abs(tail), initial=0.0) <= 1e-9:
             raise ValueError("padded register has weight outside the group range")
         return amps[: group.order]
     raise ValueError(f"state has length {amps.shape}, expected {group.order} (possibly padded)")
@@ -187,7 +203,7 @@ def _fourier_sample(
         raise ValueError(f"shot count {shots} must be positive")
     vec = _group_vector(coset_state, group)
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"group register norm {norm!r} is not 1")
     if network is not None:
         spectrum = _run_network(network, QState(network.n_qubits, vec)).amps
@@ -282,13 +298,9 @@ def two_to_one_table(n: int, mask: int, rng: np.random.Generator) -> FunctionTab
         raise ValueError(f"bit count {n} must be positive")
     if not 0 < mask < (1 << n):
         raise ValueError(f"mask {mask} must be a nonzero {n}-bit value")
-    group = AbelianGroup((2,) * n)
     relabel = rng.permutation(1 << (n - 1))
-    values = [0] * (1 << n)
-    pair_rank: dict[int, int] = {}
-    for x in range(1 << n):
-        canonical = min(x, x ^ mask)
-        if canonical not in pair_rank:
-            pair_rank[canonical] = len(pair_rank)
-        values[x] = int(relabel[pair_rank[canonical]])
-    return FunctionTable(group, tuple(values))
+    x = np.arange(1 << n)
+    # Each pair {x, x ^ mask} is numbered by the rank of its smaller member among all smaller members.
+    canonical = np.minimum(x, x ^ mask)
+    rank = np.searchsorted(np.flatnonzero(canonical == x), canonical)
+    return FunctionTable(AbelianGroup((2,) * n), relabel[rank])

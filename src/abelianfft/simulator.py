@@ -91,7 +91,7 @@ def _check_unitary(matrix: np.ndarray) -> None:
     if matrix.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"gate matrix has shape {matrix.shape}, expected 2x2 or 4x4")
     deviation = np.max(np.abs(matrix @ matrix.conj().T - np.eye(matrix.shape[0])))
-    if deviation > UNITARY_TOL:
+    if not deviation <= UNITARY_TOL:
         raise ValueError(f"gate matrix is not unitary (deviation {deviation:.3e})")
 
 
@@ -206,7 +206,7 @@ class QState:
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({1 << self.n_qubits},)")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"state norm {norm!r} is not 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -297,7 +297,7 @@ def _probabilities(amps: np.ndarray) -> np.ndarray:
     p = np.abs(amps)
     p *= p
     total = p.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
     p /= total
     return p

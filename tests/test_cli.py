@@ -208,6 +208,8 @@ def test_simulate_rejects_bad_program(tmp_path, capsys):
 
 
 _RAW_NULL_ENTRY = {"n": 1, "steps": [{"matrix": [[[1, None], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
+# json writes a NaN as the bare token NaN, which json.load reads back.
+_RAW_NAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
 
 
 @pytest.mark.parametrize(
@@ -215,6 +217,7 @@ _RAW_NULL_ENTRY = {"n": 1, "steps": [{"matrix": [[[1, None], [0, 0]], [[0, 0], [
     [
         (["fft", "--group", "Z2"], "--input", [[1, None], [0, 0]]),
         (["simulate"], "--program", _RAW_NULL_ENTRY),
+        (["simulate"], "--program", _RAW_NAN_ENTRY),
         (["simulate"], "--program", {"n": 1, "steps": 5}),
         (["simulate"], "--program", {"n": 1, "steps": [{"matrix": [1, 2], "targets": [0]}]}),
         (["period-find"], "--function", {"group": 5, "values": [0]}),
@@ -222,6 +225,7 @@ _RAW_NULL_ENTRY = {"n": 1, "steps": [{"matrix": [[[1, None], [0, 0]], [[0, 0], [
     ids=[
         "vector null entry",
         "raw matrix null entry",
+        "raw matrix NaN entry",
         "steps not a list",
         "matrix row not a list",
         "group not a string",
@@ -262,6 +266,20 @@ def test_qft_compile_swaps_and_text(capsys):
 def test_qft_compile_domain_error(capsys):
     code, _, err = _run(capsys, "qft-compile", "--m", "0")
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("m", [25, 800])
+def test_qft_compile_rejects_oversized_width_before_emitting(capsys, m):
+    # Emission is quadratic in m (m = 800 is 320,400 gates), so the width is refused first.
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "qft-compile", "--m", str(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == f"error: qubit count {m} outside [1, 24]\n"
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_period_find_output(tmp_path, capsys):

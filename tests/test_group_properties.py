@@ -1,6 +1,6 @@
 """Property tests over random groups: the array group arithmetic against coordinate arithmetic,
-the tower transform against the dense oracle whatever tower it runs on, and the transform's
-Parseval identity and shift duality."""
+the tower transform against the dense oracle whatever tower it runs on, the transform's
+Parseval identity and shift duality, and the stabiliser route against the brute-force oracle."""
 from __future__ import annotations
 
 from math import prod
@@ -13,17 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelianfft import (
+    FunctionTable,
     SubgroupTower,
     apply_dense,
     build_tower,
     character_phases,
+    check_nondegenerate,
     coset_decompose,
     fft_tower,
     make_group,
     shift_vector,
+    stabilizer_bruteforce,
     subgroup_from_generators,
     trivial_subgroup,
 )
+from abelianfft.period import _nondegenerate_stabilizer
 
 from test_acceptance import TOL_EXACT_DIST, TOL_TRANSFORM
 
@@ -138,3 +142,35 @@ def test_shift_multiplies_each_spectral_line_by_its_character(case, seed):
     shifted, _ = fft_tower(group, tower, shift_vector(group, shift, vec))
     eig = np.exp((2j * np.pi / group.lcm) * character_phases(group, shift))
     assert np.max(np.abs(shifted - eig * spectrum)) < TOL_EXACT_DIST
+
+
+@st.composite
+def function_tables(draw):
+    # Planted tables are one-to-one on the cosets of a random subgroup; merging two of their
+    # values, or drawing values at random from a small range, mostly makes them degenerate.
+    group = draw(groups().filter(lambda group: group.order > 1))
+    gens = draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+    kind = draw(st.sampled_from(("planted", "merged", "random")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return FunctionTable(group, rng.integers(0, draw(st.integers(1, 4)), size=group.order))
+    subgroup = subgroup_from_generators(group, [group.coords_of(g) for g in gens])
+    coset_of = coset_decompose(group, subgroup).coset_of
+    values = rng.permutation(int(coset_of.max()) + 1)[coset_of]
+    if kind == "merged":
+        kept, merged = rng.integers(0, values.max() + 1, size=2)
+        values[values == merged] = kept
+    return FunctionTable(group, values)
+
+
+@_SETTINGS
+@given(function_tables())
+def test_stabiliser_route_matches_the_oracle(f):
+    want = stabilizer_bruteforce(f)
+    try:
+        got = _nondegenerate_stabilizer(f)
+    except ValueError as error:
+        assert str(error) == "function table is degenerate: equal values on distinct stabiliser cosets"
+        assert not check_nondegenerate(f, want)
+    else:
+        assert check_nondegenerate(f, want) and got == want

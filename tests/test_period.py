@@ -1,6 +1,8 @@
 """Hidden-stabiliser pipeline: brute-force oracle, state preparation, sampling, reconstruction."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,21 @@ def test_function_table_validation():
     g = make_group([4])
     with pytest.raises(ValueError):
         FunctionTable(g, (0, 1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="value -1 is negative"):
         FunctionTable(g, (0, 1, 2, -1))
+    # Non-integers are refused, not truncated, and so are integers past int64.
+    for values in ((0, 1, 2, 0.7), (0.0, 1.0, 2.0, 3.0), (0, 1, 2, 2**64), (2**63,) * 4, ("0", "1", "2", "3")):
+        with pytest.raises(ValueError, match="integers in the int64 range"):
+            FunctionTable(g, values)
+
+
+def test_function_table_keeps_a_tuple_and_a_read_only_array():
+    g = make_group([4])
+    f = FunctionTable(g, np.array([3, 1, 3, 1], dtype=np.uint8))
+    assert f.values == (3, 1, 3, 1) and all(type(v) is int for v in f.values)
+    assert f == FunctionTable(g, (3, 1, 3, 1)) and hash(f) == hash(FunctionTable(g, [3, 1, 3, 1]))
+    assert f._values.dtype == np.int64 and not f._values.flags.writeable
+    assert FunctionTable(g, (True, False, True, False)).values == (1, 0, 1, 0)
 
 
 def test_check_nondegenerate():
@@ -243,6 +258,18 @@ def test_fourier_sample_validation():
         fourier_sample(np.ones(5) / np.sqrt(5), g, 1, np.random.default_rng(0))
 
 
+def test_fourier_sample_rejects_nan():
+    # A NaN fails every tolerance check rather than passing it.
+    g = make_group([6])
+    nan_tail = np.zeros(8, dtype=np.complex128)
+    nan_tail[:6] = 1 / np.sqrt(6)
+    nan_tail[7] = np.nan
+    with pytest.raises(ValueError, match="weight outside the group range"):
+        fourier_sample(nan_tail, g, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"norm .*nan.* is not 1"):
+        fourier_sample(np.full(6, np.nan, dtype=np.complex128), g, 1, np.random.default_rng(0))
+
+
 def test_reconstruct_subgroup_frozen():
     g6 = make_group([6])
     assert reconstruct_subgroup(g6, [0, 3]).members == (0, 2, 4)
@@ -321,17 +348,42 @@ def test_find_period_modes_agree():
 
 @pytest.mark.parametrize("mode", ["exact", "simulate"])
 def test_find_period_checks_the_table_once(monkeypatch, mode):
-    calls = []
-    oracle = period.stabilizer_bruteforce
+    calls = {"stabilizer_bruteforce": 0, "check_nondegenerate": 0}
 
-    def counting(f):
-        calls.append(f)
-        return oracle(f)
+    def counting(name):
+        inner = getattr(period, name)
 
-    monkeypatch.setattr(period, "stabilizer_bruteforce", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(period, name, wrapper)
+
+    counting("stabilizer_bruteforce")
+    counting("check_nondegenerate")
     result = find_period(_mod_table(12, 3), 100, np.random.default_rng(5), mode=mode)
     assert result.converged and result.subgroup.members == (0, 3, 6, 9)
-    assert len(calls) == 1
+    assert calls == {"stabilizer_bruteforce": 0, "check_nondegenerate": 1}
+
+
+def test_recovery_never_calls_the_oracle(monkeypatch):
+    # The stabiliser is read off the preimage of f(0); the brute-force search is a test oracle only.
+    def refuse(f):
+        raise AssertionError("stabilizer_bruteforce called")
+
+    monkeypatch.setattr(period, "stabilizer_bruteforce", refuse)
+    for moduli, generators in (([64], [(8,)]), ([8, 9, 5], [(2, 3, 0), (4, 0, 0)]), ([2] * 6, [(1, 0, 1, 1, 0, 0)])):
+        f, planted = _planted_table(moduli, generators)
+        for mode in ("exact", "simulate") if f.group.order <= SIMULATE_CAP else ("exact",):
+            result = find_period(f, 200, np.random.default_rng(1), mode=mode)
+            assert result.converged and result.subgroup.members == planted.members
+        sample_coset_state(f, np.random.default_rng(2))
+    constant = FunctionTable(make_group([2] * 12), (7,) * 4096)
+    result = find_period(constant, 200, np.random.default_rng(3))
+    assert result.converged and result.subgroup.order == 4096
+    collide = FunctionTable(make_group([4]), (0, 1, 0, 2))
+    with pytest.raises(ValueError, match="function table is degenerate"):
+        find_period(collide, 10, np.random.default_rng(0))
 
 
 def test_find_period_simulate_labels_pinned():
@@ -444,6 +496,42 @@ def test_two_to_one_table():
         two_to_one_table(3, 0, rng)
     with pytest.raises(ValueError):
         two_to_one_table(3, 8, rng)
+
+
+def _digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+_TWO_TO_ONE_DIGESTS = {
+    1: "17b0761f87b081d5", 2: "e162930cb35cb7aa", 3: "0279e98293a08341", 4: "95d682d049c41320",
+    5: "da849c37de535470", 6: "54b3e06d724b842b", 7: "e2e185fb03b291de", 8: "e96dc7f25d0d1f61",
+    9: "5f932688f36e17a7", 10: "a39c26cae75d9244", 11: "c2b0f2ffbd16f4f4", 12: "9cd896d5d1116ec0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_TWO_TO_ONE_DIGESTS))
+def test_two_to_one_table_values_pinned(n):
+    # Digests of the per-element loop's tables: the pairs are numbered by their smaller member
+    # and relabelled by one permutation draw.
+    full = (1 << n) - 1
+    tables = [
+        two_to_one_table(n, mask, np.random.default_rng(seed))
+        for mask in sorted({1, 1 << (n - 1), full, 0b1011001101 & full or 1})
+        for seed in (0, 1, 2024)
+    ]
+    assert _digest(np.concatenate([np.asarray(f.values, dtype=np.int64) for f in tables])) == _TWO_TO_ONE_DIGESTS[n]
+
+
+def test_build_function_state_amplitudes_pinned():
+    tables = {
+        "42e398cafd2ce7c9": _mod_table(12, 3),
+        "1616210d438e3b58": two_to_one_table(5, 0b10110, np.random.default_rng(3)),
+        "341cb1e48922d866": _planted_table([8, 9, 5], [(2, 3, 0), (4, 0, 0)])[0],
+        "509ec3f5991c69a7": FunctionTable(make_group([2] * 4), (5,) * 16),
+        "00b439e29a34a082": FunctionTable(make_group([6]), (4, 0, 5, 1, 3, 2)),
+    }
+    for digest, f in tables.items():
+        assert _digest(build_function_state(f).amps) == digest
 
 
 def test_caps_are_frozen():

@@ -108,6 +108,18 @@ def test_state_validation():
         basis_state(2, 4)
 
 
+def test_nan_fails_every_tolerance_check():
+    # A comparison with NaN is false, so each check is written to fail on it rather than pass it.
+    with pytest.raises(ValueError, match="not unitary"):
+        Gate(np.array([[np.nan, 0], [0, 1]]), (0,))
+    with pytest.raises(ValueError, match="not unitary"):
+        Gate(np.diag([1, 1, 1, np.nan]), (0, 1))
+    with pytest.raises(ValueError, match=r"norm .*nan.* is not 1"):
+        QState(1, np.array([np.nan, 0]))
+    with pytest.raises(ValueError, match=r"probabilities sum to .*nan"):
+        simulator._probabilities(np.array([np.nan, 0], dtype=np.complex128))
+
+
 def test_new_and_basis_state():
     s = new_state(3)
     assert s.amps[0] == 1.0 and np.count_nonzero(s.amps) == 1
