@@ -17,7 +17,9 @@ from .period import FunctionTable, _check_mode_order, find_period, two_to_one_ta
 from .qft_circuit import REORDER_MODES, compile_qft
 from .simulator import (
     STATE_CAP,
+    _cdf,
     _complex_from_json,
+    _draw,
     measure_qubit_distribution,
     program_from_json,
     program_to_json,
@@ -142,7 +144,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         dist = measure_qubit_distribution(state, int(args.measure))
         payload["distribution"] = {"0": dist[0], "1": dist[1]}
         if args.shots > 0:
-            draws = np.random.default_rng(args.seed).choice(2, size=args.shots, p=[dist[0], dist[1]])
+            draws = _draw(np.random.default_rng(args.seed), _cdf(np.array([dist[0], dist[1]])), args.shots)
             ones = int(draws.sum())
             payload["counts"] = {"0": args.shots - ones, "1": ones}
     return payload
@@ -183,7 +185,8 @@ def _function_from_json(obj: object) -> FunctionTable:
         raise ValueError(f'function table field "group" must be a string, got {obj["group"]!r}')
     group = parse_group_spec(obj["group"])
     values = obj["values"]
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    # JSON true and false load as bool, a subclass of int.
+    if not isinstance(values, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
         raise ValueError('function table field "values" must be a list of integers')
     return FunctionTable(group, tuple(values))
 

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .dense import _as_vector
-from .groups import AbelianGroup, Subgroup, _element_order, make_group
+from .groups import AbelianGroup, Subgroup, _element_order, character_phases, make_group
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -102,16 +102,20 @@ def predict_cost(order: int, suborder: int) -> int:
     return order * (suborder + order // suborder)
 
 
-def _phases(group: AbelianGroup, labels: np.ndarray, args: Sequence[int] | np.ndarray) -> np.ndarray:
-    # Integer phase numerators of chi_label(arg), one row per label and one column per arg.
-    table = group.coords_table
-    weighted = np.take(table, args, axis=0) * np.asarray(group.char_weights, dtype=np.int64)
-    return np.einsum("ik,jk->ij", np.take(table, labels, axis=0), weighted) % group.lcm
-
-
 def _char_matrix(group: AbelianGroup, labels: np.ndarray, args: np.ndarray) -> np.ndarray:
-    # chi_label(arg) for each label row and arg column, from exact integer phases.
-    return np.exp((2j * np.pi / group.lcm) * _phases(group, labels, args))
+    # chi_label(arg) for each label row and arg column, from exact integer phases.  The pairing is
+    # symmetric, so the phases are read one row or one column at a time, whichever are fewer; the
+    # row or column of the identity, whose phases are all zero, is not read.
+    phases = np.zeros((len(labels), len(args)), dtype=np.int64)
+    if len(labels) <= len(args):
+        for row, label in enumerate(labels):
+            if label:
+                phases[row] = character_phases(group, label, args)
+    else:
+        for column, arg in enumerate(args):
+            if arg:
+                phases[:, column] = character_phases(group, arg, labels)
+    return np.exp((2j * np.pi / group.lcm) * phases)
 
 
 class _TowerPlan:
@@ -152,7 +156,7 @@ class _TowerPlan:
             index = len(above) // level.order
             trivial = labels
             for gen in level.generators():
-                trivial = trivial[_phases(group, trivial, [gen])[:, 0] == 0]
+                trivial = trivial[character_phases(group, gen, trivial) == 0]
             # least[c]: the least class above merged with class c so far.  Greedy generators of
             # the trivial labels (modulo the classes above) each merge classes along their cycles
             # by doubling, as coset_decompose does, and key the members above by their phases.
@@ -165,7 +169,7 @@ class _TowerPlan:
                 while window < min(_element_order(group, gen), index):
                     least = np.minimum(least, least[step])
                     step, window = step[step], 2 * window
-                phase = _phases(group, above, [gen])[:, 0]
+                phase = character_phases(group, gen, above)
                 coset = phase if coset is None else np.unique(coset * group.lcm + phase, return_inverse=True)[1]
             _, first = np.unique(coset, return_index=True)
             reps = above[np.sort(first)]

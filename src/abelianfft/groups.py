@@ -128,7 +128,8 @@ class AbelianGroup:
             raise ValueError(f"element indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.int64, copy=False)
         # Negative indices read as unsigned are above every order, so one maximum checks both ends.
-        if idx.size and idx.view(np.uint64).max() >= self.order:
+        # The ufunc's own reduce skips the Python layer of ndarray.max, which small inputs notice.
+        if idx.size and np.maximum.reduce(idx.view(np.uint64), axis=None) >= self.order:
             outside = idx[(idx < 0) | (idx >= self.order)]
             raise ValueError(f"element index {outside[0]} out of range for group of order {self.order}")
         return idx
@@ -231,11 +232,15 @@ def character_eval(group: AbelianGroup, label: Sequence[int], arg: Sequence[int]
     return complex(np.exp(2j * np.pi * character_phase(group, label, arg) / group.lcm))
 
 
-def character_phases(group: AbelianGroup, label: int | Sequence[int]) -> np.ndarray:
-    """Integer phase numerators of chi_label over every element, in index order."""
-    coords = group.coords_of(label) if isinstance(label, (int, np.integer)) else group.validate_coords(label)
+def character_phases(
+    group: AbelianGroup, label: int | Sequence[int], elements: Indices | None = None
+) -> np.ndarray:
+    """Integer phase numerators of chi_label over the given element indices, every element in index
+    order by default.  The pairing is symmetric: entry x is also the phase of chi_x at label."""
+    coords = group.coords_of(int(label)) if isinstance(label, (int, np.integer)) else group.validate_coords(label)
     mult = np.array([c * w for c, w in zip(coords, group.char_weights)], dtype=np.int64)
-    return np.einsum("ij,j->i", group.coords_table, mult) % group.lcm
+    table = group.coords_table if elements is None else group._coords(group._checked(elements))
+    return (table @ mult) % group.lcm
 
 
 def _mask_of(group: AbelianGroup, indices: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -244,12 +249,14 @@ def _mask_of(group: AbelianGroup, indices: Iterable[int] | np.ndarray) -> np.nda
     return mask
 
 
-def _annihilated_mask(group: AbelianGroup, labels: Iterable[int]) -> np.ndarray:
-    # Mask of the elements x with chi_l(x) = 1 for every given label l, in exact integer arithmetic.
-    mask = np.ones(group.order, dtype=bool)
+def _annihilated(group: AbelianGroup, labels: Iterable[int], elements: np.ndarray | None = None) -> np.ndarray:
+    # The elements x (every element by default) with chi_l(x) = 1 for every given label l, in exact
+    # integer arithmetic and in their given order.  Each label filters only the survivors so far.
+    survivors = elements
     for label in labels:
-        mask &= character_phases(group, label) == 0
-    return mask
+        zero = character_phases(group, label, survivors) == 0
+        survivors = np.flatnonzero(zero) if survivors is None else survivors[zero]
+    return np.arange(group.order, dtype=np.int64) if survivors is None else survivors
 
 
 @dataclass(frozen=True)
@@ -418,7 +425,7 @@ def annihilator(group: AbelianGroup, elements: Subgroup | Iterable[int]) -> Subg
         idxs: Iterable[int] = elements.generators()
     else:
         idxs = sorted(set(int(i) for i in elements))
-    return Subgroup(group, np.flatnonzero(_annihilated_mask(group, idxs)))
+    return Subgroup(group, _annihilated(group, idxs))
 
 
 def enumerate_subgroups(group: AbelianGroup) -> list[Subgroup]:

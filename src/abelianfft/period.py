@@ -14,6 +14,16 @@ The default sampling mode computes that exact distribution classically and
 draws from it; full two-register simulation is kept as a cross-check path for
 small groups.
 
+`find_period` builds every law once per recovery, before its first draw.  Exact
+mode has one, the label law.  Simulate mode builds the state, its value
+readings, the network and the value register's law up front, and the label law
+of a value's coset state the first time the value register reads that value:
+at most |G|/|K| laws.  A shot then only draws, a value and a label or just a
+label, and filters the surviving members of the candidate subgroup by the
+label's character phases, at O(survivors * rank).  Draws use one uniform each,
+as Generator.choice does, so the labels and the generator's final state are
+those of drawing with choice shot by shot.
+
 Sampling is only sound when the table is one-to-one on the cosets of its
 stabiliser K.  Then K is the preimage of f(0), so both modes take K as that
 preimage and check it once: it must be a subgroup on whose cosets f is
@@ -24,7 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,12 +42,12 @@ from .dense import apply_dense
 from .groups import (
     AbelianGroup,
     Subgroup,
-    _annihilated_mask,
+    _annihilated,
     coset_decompose,
     full_subgroup,
 )
 from .qft_circuit import GateList, _run_network, compile_qft
-from .simulator import STATE_CAP, QState, _collapse
+from .simulator import STATE_CAP, QState, _cdf, _collapse, _collapsed, _draw, _outcome_law
 
 # Group order caps for the two sampling routes.
 EXACT_CAP = 4096
@@ -141,15 +151,11 @@ def _value_readings(f: FunctionTable, state: QState) -> np.ndarray:
     return np.arange(1 << state.n_qubits) >> group_bits
 
 
-def _read_value_register(
-    f: FunctionTable, state: QState, readings: np.ndarray, rng: np.random.Generator
-) -> tuple[int, QState]:
-    # Collapse the value register of the function state; return the value and the group register.
-    group_bits, value_bits = _register_widths(f)
-    observed, post = _collapse(state, readings, value_bits, rng)
+def _group_register(f: FunctionTable, post: QState, observed: int) -> QState:
+    # The group register of the function state once its value register has read `observed`.
+    group_bits, _ = _register_widths(f)
     offset = observed << group_bits
-    register = post.amps[offset : offset + (1 << group_bits)]
-    return observed, QState(group_bits, register)
+    return QState(group_bits, post.amps[offset : offset + (1 << group_bits)])
 
 
 def sample_coset_state(f: FunctionTable, rng: np.random.Generator) -> tuple[int, QState]:
@@ -160,7 +166,9 @@ def sample_coset_state(f: FunctionTable, rng: np.random.Generator) -> tuple[int,
     """
     _nondegenerate_stabilizer(f)
     state = build_function_state(f)
-    return _read_value_register(f, state, _value_readings(f, state), rng)
+    _, value_bits = _register_widths(f)
+    observed, post = _collapse(state, _value_readings(f, state), value_bits, rng)
+    return observed, _group_register(f, post, observed)
 
 
 def _group_vector(state: QState | Sequence[complex] | np.ndarray, group: AbelianGroup) -> np.ndarray:
@@ -188,19 +196,15 @@ def fourier_sample(
     rng: np.random.Generator,
 ) -> list[int]:
     """Transform the group register and read it: a list of label indices."""
-    return _fourier_sample(coset_state, group, shots, rng, _network(group))
-
-
-def _fourier_sample(
-    coset_state: QState | Sequence[complex] | np.ndarray,
-    group: AbelianGroup,
-    shots: int,
-    rng: np.random.Generator,
-    network: GateList | None,
-) -> list[int]:
-    # fourier_sample with the group's transform network compiled by the caller.
     if shots < 1:
         raise ValueError(f"shot count {shots} must be positive")
+    return _draw(rng, _cdf(_label_law(coset_state, group, _network(group))), shots).tolist()
+
+
+def _label_law(
+    coset_state: QState | Sequence[complex] | np.ndarray, group: AbelianGroup, network: GateList | None
+) -> np.ndarray:
+    # The Born law of the transformed group register, by the network when there is one.
     vec = _group_vector(coset_state, group)
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= 1e-9:
@@ -211,7 +215,7 @@ def _fourier_sample(
         spectrum = apply_dense(group, vec)
     probs = np.abs(spectrum) ** 2
     probs /= probs.sum()
-    return [int(l) for l in rng.choice(group.order, size=shots, p=probs)]
+    return probs
 
 
 def label_distribution(group: AbelianGroup, stabilizer: Subgroup) -> np.ndarray:
@@ -220,8 +224,10 @@ def label_distribution(group: AbelianGroup, stabilizer: Subgroup) -> np.ndarray:
     checks it against the dense transform of every coset state of every subgroup."""
     if stabilizer.parent != group:
         raise ValueError("subgroup belongs to a different group")
-    mask = _annihilated_mask(group, stabilizer.generators())
-    return mask / np.count_nonzero(mask)
+    law = np.zeros(group.order)
+    annihilating = _annihilated(group, stabilizer.generators())
+    law[annihilating] = 1.0 / len(annihilating)
+    return law
 
 
 def reconstruct_subgroup(group: AbelianGroup, labels: Sequence[int]) -> Subgroup:
@@ -233,7 +239,7 @@ def reconstruct_subgroup(group: AbelianGroup, labels: Sequence[int]) -> Subgroup
     if not distinct:
         warnings.warn("no labels observed: reconstruction is the whole group", stacklevel=2)
         return full_subgroup(group)
-    return Subgroup(group, np.flatnonzero(_annihilated_mask(group, distinct)))
+    return Subgroup(group, _annihilated(group, distinct))
 
 
 def _check_mode_order(order: int, mode: str) -> None:
@@ -262,34 +268,41 @@ def find_period(
         raise ValueError(f"shot budget {max_shots} must be positive")
     group = f.group
     _check_mode_order(group.order, mode)
-    stabilizer = _nondegenerate_stabilizer(f)
-    if mode == "exact":
-        probs = label_distribution(group, stabilizer)
-    else:
-        # What every shot shares is built once: the state, its value readings and the network.
-        state = build_function_state(f)
-        readings = _value_readings(f, state)
-        network = _network(group)
-
+    draws = _labels(f, _nondegenerate_stabilizer(f), mode, rng)
     labels: list[int] = []
-    mask = np.ones(group.order, dtype=bool)
-    survivors = group.order
+    # The members of the candidate subgroup, filtered by each label in turn.
+    candidate = np.arange(group.order, dtype=np.int64)
     streak = 0
-    samples = 0
-    while samples < max_shots and streak < window:
-        if mode == "exact":
-            label = int(rng.choice(group.order, p=probs))
-        else:
-            _, register = _read_value_register(f, state, readings, rng)
-            label = _fourier_sample(register, group, 1, rng, network)[0]
+    while len(labels) < max_shots and streak < window:
+        label = next(draws)
         labels.append(label)
-        samples += 1
-        mask &= _annihilated_mask(group, (label,))
-        remaining = int(mask.sum())
-        streak = streak + 1 if remaining == survivors else 0
-        survivors = remaining
-    subgroup = Subgroup(group, np.flatnonzero(mask))
-    return StabilizerResult(subgroup, samples, tuple(labels), streak >= window)
+        survivors = _annihilated(group, (label,), candidate)
+        streak = streak + 1 if len(survivors) == len(candidate) else 0
+        candidate = survivors
+    return StabilizerResult(Subgroup(group, candidate), len(labels), tuple(labels), streak >= window)
+
+
+def _labels(f: FunctionTable, stabilizer: Subgroup, mode: str, rng: np.random.Generator) -> Iterator[int]:
+    # Labels drawn one at a time, without end.  Each law is built once, before its first draw:
+    # exact mode has one; simulate mode has the value register's and, per value it reads, the law
+    # of the labels of the coset state that value leaves.
+    group = f.group
+    if mode == "exact":
+        cdf = _cdf(label_distribution(group, stabilizer))
+        while True:
+            yield int(_draw(rng, cdf))
+    state = build_function_state(f)
+    readings = _value_readings(f, state)
+    network = _network(group)
+    _, value_bits = _register_widths(f)
+    value_cdf = _cdf(_outcome_law(state, readings, value_bits))
+    label_cdfs: dict[int, np.ndarray] = {}
+    while True:
+        value = int(_draw(rng, value_cdf))
+        if value not in label_cdfs:
+            register = _group_register(f, _collapsed(state, readings, value), value)
+            label_cdfs[value] = _cdf(_label_law(register, group, network))
+        yield int(_draw(rng, label_cdfs[value]))
 
 
 def two_to_one_table(n: int, mask: int, rng: np.random.Generator) -> FunctionTable:

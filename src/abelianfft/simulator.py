@@ -293,6 +293,37 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
     return QState(n, amps)
 
 
+# Generator.choice accepts a law whose sum is this far from 1.
+_LAW_TOL = sqrt(np.finfo(np.float64).eps)
+
+
+def _cdf(law: np.ndarray) -> np.ndarray:
+    """The cumulative form of a law over 0 .. len(law) - 1, after the checks Generator.choice makes:
+    finite, non-negative entries that sum to 1 within _LAW_TOL."""
+    law = np.asarray(law, dtype=np.float64)
+    if law.ndim != 1 or not law.size:
+        raise ValueError(f"a law must be a non-empty vector, got shape {law.shape}")
+    if not np.isfinite(law).all():
+        raise ValueError("law has NaN or infinite entries")
+    if (law < 0).any():
+        raise ValueError("law has negative entries")
+    total = law.sum()
+    if not abs(total - 1.0) <= _LAW_TOL:
+        raise ValueError(f"law sums to {total!r}, expected 1")
+    cdf = law.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int | None = None) -> np.intp | np.ndarray:
+    """Draws from the law whose _cdf is given: one index for size None, else an array of them.
+
+    Generator.choice(len(law), size, p=law) draws exactly these, from the same uniforms, but
+    checks the law and rebuilds its cdf on every call.
+    """
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def _probabilities(amps: np.ndarray) -> np.ndarray:
     p = np.abs(amps)
     p *= p
@@ -335,23 +366,30 @@ def collapse_register(state: QState, qubits: Iterable[int], rng: np.random.Gener
     return format(outcome, f"0{len(qs)}b"), post
 
 
-def _collapse(state: QState, values: np.ndarray, width: int, rng: np.random.Generator) -> tuple[int, QState]:
-    # Measure a width-bit register that reads values[i] at basis index i; returns the outcome and
-    # the renormalised conditional state.
-    p = _probabilities(state.amps)
-    outcome_probs = np.bincount(values, weights=p, minlength=1 << width)
-    outcome_probs /= outcome_probs.sum()
-    outcome = int(rng.choice(1 << width, p=outcome_probs))
+def _outcome_law(state: QState, values: np.ndarray, width: int) -> np.ndarray:
+    # The law of a width-bit register that reads values[i] at basis index i.
+    law = np.bincount(values, weights=_probabilities(state.amps), minlength=1 << width)
+    law /= law.sum()
+    return law
+
+
+def _collapsed(state: QState, values: np.ndarray, outcome: int) -> QState:
+    # The renormalised state left once that register has read the outcome.
     post = np.where(values == outcome, state.amps, 0.0)
-    return outcome, QState(state.n_qubits, post / np.linalg.norm(post))
+    return QState(state.n_qubits, post / np.linalg.norm(post))
+
+
+def _collapse(state: QState, values: np.ndarray, width: int, rng: np.random.Generator) -> tuple[int, QState]:
+    # Measure the register: the outcome and the collapsed state.
+    outcome = int(_draw(rng, _cdf(_outcome_law(state, values, width))))
+    return outcome, _collapsed(state, values, outcome)
 
 
 def sample(state: QState, shots: int, rng: np.random.Generator) -> dict[str, int]:
     """Draw shots full-register outcomes; returns only the outcomes that occurred."""
     if shots < 1:
         raise ValueError(f"shot count {shots} must be positive")
-    p = _probabilities(state.amps)
-    draws = rng.choice(len(p), size=shots, p=p)
+    draws = _draw(rng, _cdf(_probabilities(state.amps)), shots)
     outcomes, counts = np.unique(draws, return_counts=True)
     n = state.n_qubits
     return {format(i, f"0{n}b"): c for i, c in zip(outcomes.tolist(), counts.tolist())}

@@ -221,6 +221,7 @@ _RAW_NAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0
         (["simulate"], "--program", {"n": 1, "steps": 5}),
         (["simulate"], "--program", {"n": 1, "steps": [{"matrix": [1, 2], "targets": [0]}]}),
         (["period-find"], "--function", {"group": 5, "values": [0]}),
+        (["period-find"], "--function", {"group": "Z2", "values": [True, False]}),
     ],
     ids=[
         "vector null entry",
@@ -229,6 +230,7 @@ _RAW_NAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0
         "steps not a list",
         "matrix row not a list",
         "group not a string",
+        "table values boolean",
     ],
 )
 def test_malformed_json_is_a_domain_error(tmp_path, capsys, argv, flag, document):

@@ -201,6 +201,20 @@ def test_characters_pairwise_distinct_exact(group):
     assert len(rows) == group.order
 
 
+@pytest.mark.parametrize("group", abelian_group_types(24), ids=lambda g: g.spec_string())
+def test_character_phases_on_an_element_subset(group):
+    # A subset reads the same phases as the whole group, in the subset's order; the pairing is symmetric.
+    full = np.stack([character_phases(group, i) for i in range(group.order)])
+    subset = np.random.default_rng(group.order).permutation(group.order)[: max(1, group.order // 3)]
+    for i in range(group.order):
+        assert np.array_equal(character_phases(group, i, subset), full[i, subset])
+        assert np.array_equal(character_phases(group, group.coords_of(i), subset), full[subset, i])
+    with pytest.raises(ValueError):
+        character_phases(group, 0, [group.order])
+    with pytest.raises(ValueError):
+        character_phases(group, 0, [-1])
+
+
 def test_subgroup_validation():
     g = make_group([8])
     with pytest.raises(ValueError):

@@ -441,6 +441,54 @@ def test_find_period_exact_builds_no_dense_matrix(moduli, generators, seed, labe
     assert result.labels_seen == labels
 
 
+@pytest.mark.parametrize(
+    "mode, moduli, generators, seed, labels, next_draw",
+    [
+        ("simulate", [12], [(3,)], 5, (8, 0, 4, 0, 8, 0, 8, 8, 4, 0, 0), 0.8796511733349222),
+        ("simulate", [16], [(8,)], 7, (14, 2, 12, 12, 6, 4, 6, 8, 12, 14, 2), 0.6125396042730308),
+        ("simulate", [64], [(8,)], 8, (56, 48, 24, 16, 24, 16, 8, 24, 32, 40, 8), 0.3713871284423962),
+        ("exact", [1024], [(64,)], 11, (128, 496, 608, 16, 144, 944, 64, 128, 960, 624, 368, 512), 0.6628429525167993),
+        (
+            "exact",
+            [2] * 8,
+            [(1, 0, 1, 1, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0, 1, 0)],
+            13,
+            (221, 220, 215, 66, 10, 232, 159, 0, 230, 237, 70, 216, 11, 120, 216, 118, 145, 15, 216),
+            0.4978674083325122,
+        ),
+        ("exact", [8, 9, 5], [(2, 3, 0), (4, 0, 0)], 12, (17, 213, 15, 15, 30, 16, 195, 3, 211, 210, 0, 181), 0.10685127402373995),
+    ],
+    ids=["simulate Z12", "simulate Z16", "simulate Z64", "exact Z1024", "exact Z2^8", "exact Z8xZ9xZ5"],
+)
+def test_recovery_labels_and_generator_state_pinned(mode, moduli, generators, seed, labels, next_draw):
+    # Recorded when every shot still rebuilt its laws and drew through Generator.choice: the labels,
+    # and the generator's next draw after the recovery.  Z12 takes the dense route, Z16 and Z64 the
+    # compiled network.
+    f, planted = _planted_table(moduli, generators)
+    rng = np.random.default_rng(seed)
+    result = find_period(f, 200, rng, mode=mode)
+    assert result.converged and result.subgroup.members == planted.members
+    assert result.labels_seen == labels and result.samples_used == len(labels)
+    assert rng.random() == next_draw
+
+
+def test_find_period_simulate_runs_the_network_once_per_value(monkeypatch):
+    # A value's label law is built the first time the value register reads it, then reused: every
+    # network run starts from a coset state no earlier run started from.
+    starts = []
+    inner = period._run_network
+
+    def recording(network, state):
+        starts.append(state.amps.tobytes())
+        return inner(network, state)
+
+    monkeypatch.setattr(period, "_run_network", recording)
+    f, planted = _planted_table([64], [(8,)])
+    result = find_period(f, 200, np.random.default_rng(8), mode="simulate", window=30)
+    assert result.converged and result.subgroup.members == planted.members
+    assert 0 < len(starts) == len(set(starts)) <= 64 // 8 < result.samples_used
+
+
 def test_find_period_validation():
     f = _mod_table(6, 2)
     rng = np.random.default_rng(0)

@@ -267,6 +267,49 @@ def test_measurement_is_pure_function():
     assert np.array_equal(state.amps, before)
 
 
+def _random_law(rng, n):
+    # Nonnegative weights with exact zeros scattered and, often, a run of them at the end.
+    law = rng.random(n) ** 3
+    law[rng.random(n) < 0.3] = 0.0
+    law[n - int(rng.integers(0, n // 2 + 1)):] = 0.0
+    if not law.any():
+        law[0] = 1.0
+    return law / law.sum()
+
+
+@pytest.mark.parametrize("size", [None, 1, 37])
+def test_draw_equals_generator_choice(size):
+    # The one draw primitive draws what Generator.choice(n, p=law) draws and leaves the generator
+    # where choice leaves it, so a numpy release that changes choice fails here.
+    source = np.random.default_rng(2024)
+    for seed in range(200):
+        n = int(source.integers(1, 300))
+        law = _random_law(source, n)
+        cdf = simulator._cdf(law)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            drawn, expected = simulator._draw(ours, cdf, size), theirs.choice(n, size=size, p=law)
+            assert np.shape(drawn) == np.shape(expected) and np.array_equal(drawn, expected)
+        assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize(
+    "law",
+    [[np.nan, 1.0], [np.inf, 0.0], [-0.25, 1.25], [0.5, 0.4], [0.5, 0.5 + 1e-7], [], [[1.0]]],
+    ids=["NaN", "infinite", "negative", "short sum", "long sum", "empty", "not a vector"],
+)
+def test_cdf_refuses_the_laws_choice_refuses(law):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(law), p=law)
+    with pytest.raises(ValueError):
+        simulator._cdf(law)
+
+
+def test_cdf_accepts_the_rounding_choice_accepts():
+    law = [0.5, 0.5 + 1e-9]
+    assert np.random.default_rng(0).choice(2, p=law) == simulator._draw(np.random.default_rng(0), simulator._cdf(law))
+
+
 def test_program_json_round_trip():
     program = Program(
         3,
