@@ -20,6 +20,7 @@ from .simulator import (
     _cdf,
     _complex_from_json,
     _draw,
+    _is_int,
     measure_qubit_distribution,
     program_from_json,
     program_to_json,
@@ -185,8 +186,7 @@ def _function_from_json(obj: object) -> FunctionTable:
         raise ValueError(f'function table field "group" must be a string, got {obj["group"]!r}')
     group = parse_group_spec(obj["group"])
     values = obj["values"]
-    # JSON true and false load as bool, a subclass of int.
-    if not isinstance(values, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+    if not isinstance(values, list) or not all(_is_int(v) for v in values):
         raise ValueError('function table field "values" must be a list of integers')
     return FunctionTable(group, tuple(values))
 

@@ -276,17 +276,25 @@ def fft_radix2(n: int, f: Sequence[complex] | np.ndarray) -> tuple[np.ndarray, O
 
 
 def walsh_hadamard(n: int, f: Sequence[complex] | np.ndarray) -> np.ndarray:
-    """Transform on (Z_2)^n: n 2^n adds via the per-bit in-place butterfly, one final scale."""
+    """Transform on (Z_2)^n: n stages of 2^n adds, one final scale.
+
+    Each stage is the constant-geometry butterfly: the sums of the adjacent pairs fill the first
+    half of the next array and their differences the second.  That moves the bit it combines from
+    the bottom of the index to the top, so stage k combines input bit k, as the per-bit butterfly
+    does, with the same adds; after n stages every bit is back in place.  The stages alternate
+    between two buffers and write contiguously, so the caller's array is only read.
+    """
     if n < 0:
         raise ValueError(f"bit count {n} must be nonnegative")
-    vec = _as_vector(f, 1 << n).copy()
-    for bit in range(n):
-        shaped = vec.reshape(-1, 2, 1 << bit)
-        upper = shaped[:, 0, :].copy()
-        lower = shaped[:, 1, :].copy()
-        shaped[:, 0, :] = upper + lower
-        shaped[:, 1, :] = upper - lower
-    return vec / sqrt(1 << n)
+    vec = _as_vector(f, 1 << n)
+    buffers = [np.empty_like(vec) for _ in range(min(n, 2))]
+    half = vec.size // 2
+    for stage in range(n):
+        target = buffers[stage % 2]
+        np.add(vec[0::2], vec[1::2], out=target[:half])
+        np.subtract(vec[0::2], vec[1::2], out=target[half:])
+        vec = target
+    return np.divide(vec, sqrt(1 << n), out=vec if n else None)
 
 
 def radix2_group(n: int) -> AbelianGroup:

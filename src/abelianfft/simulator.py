@@ -13,12 +13,17 @@ per target wire:
 - a 2x2 matrix (H or raw) is a butterfly over the amplitude pairs;
 - X, CNOT and SWAP exchange two index slices;
 - CPHASE multiplies the quarter of the amplitudes with both target bits set;
-- a raw 4x4 matrix multiplies the (4, -1) reshape of the view.
+- a raw 4x4 matrix gathers the (4, -1) reshape of the view into the first half
+  of the run's workspace, zgemm writes the product into its second half, and
+  the product is copied back through the view.
 
 Butterflies and exchanges work in blocks of at most `_BLOCK` pairs, so a gate
-on the top wire needs no temporary the size of the state.  The named gates
-share one read-only matrix each (one per exponent for CPHASE), checked for
-unitarity once, when it is first built; a raw matrix is checked on every `Gate`.
+on the top wire needs no temporary the size of the state.  The workspace holds
+twice the state; `run_program` makes it when the first raw 4x4 gate runs and
+reuses it for every later one, so a program without raw 4x4 gates never has
+it.  The named gates share one read-only matrix each (one per exponent for
+CPHASE), checked for unitarity once, when it is first built; a raw matrix is
+checked on every `Gate`.
 """
 from __future__ import annotations
 
@@ -83,8 +88,13 @@ def _phase(view: np.ndarray, phase: complex) -> None:
     view[1, 1] *= phase
 
 
-def _product(view: np.ndarray, u: np.ndarray) -> None:
-    view[...] = (u @ view.reshape(4, -1)).reshape(view.shape)
+def _product(view: np.ndarray, u: np.ndarray, workspace: np.ndarray) -> None:
+    """Multiply the (4, -1) gather of the view by u, through a workspace of 2 * view.size entries:
+    the gather fills its first half and zgemm writes into its second."""
+    gathered, product = workspace[: view.size].reshape(view.shape), workspace[view.size :].reshape(4, -1)
+    np.copyto(gathered, view)
+    np.matmul(u, gathered.reshape(4, -1), out=product)
+    np.copyto(view, product.reshape(view.shape))
 
 
 def _check_unitary(matrix: np.ndarray) -> None:
@@ -180,8 +190,14 @@ def cphase(control: int, target: int, exponent: int = 1) -> Gate:
     return Gate(matrix, (control, target), name="CPHASE", param=exponent)
 
 
-def _apply(amps: np.ndarray, gate: Gate, targets: tuple[int, ...]) -> None:
-    """Run the gate on the given wires of a writable amplitude buffer, in place."""
+def _apply(
+    amps: np.ndarray, gate: Gate, targets: tuple[int, ...], workspace: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Run the gate on the given wires of a writable amplitude buffer, in place.
+
+    Returns the workspace of the raw 4x4 product (2 * amps.size entries), made here the first
+    time a raw 4x4 gate needs one, so that a caller running many gates can pass it back in.
+    """
     view = _wire_view(amps, targets)
     kernel = _SHARED.get(id(gate.matrix), (None, None))[1]
     if kernel is not None:
@@ -189,7 +205,10 @@ def _apply(amps: np.ndarray, gate: Gate, targets: tuple[int, ...]) -> None:
     elif len(targets) == 1:
         _butterfly(view, gate.matrix)
     else:
-        _product(view, gate.matrix)
+        if workspace is None:
+            workspace = np.empty(2 * amps.size, dtype=np.complex128)
+        _product(view, gate.matrix, workspace)
+    return workspace
 
 
 @dataclass(frozen=True)
@@ -288,8 +307,9 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
         raise ValueError(f"initial state has {initial.n_qubits} qubits, program needs {n}")
     else:
         amps = initial.amps.copy()
+    workspace = None
     for gate in program.steps:
-        _apply(amps, gate, gate.targets)
+        workspace = _apply(amps, gate, gate.targets, workspace)
     return QState(n, amps)
 
 
@@ -398,10 +418,10 @@ def sample(state: QState, shots: int, rng: np.random.Generator) -> dict[str, int
 def _complex_from_json(entry: object) -> complex:
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise ValueError(f"complex entry {entry!r} must be a [re, im] pair")
-    try:
-        return complex(float(entry[0]), float(entry[1]))
-    except TypeError:
-        raise ValueError(f"complex entry {entry!r} must hold two real numbers") from None
+    # JSON true and false load as bool, a subclass of int, and float() would also read a string.
+    if not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry):
+        raise ValueError(f"complex entry {entry!r} must hold two real numbers")
+    return complex(float(entry[0]), float(entry[1]))
 
 
 def _matrix_from_json(rows: object) -> np.ndarray:
@@ -419,6 +439,11 @@ _NAMED_BUILDERS = {
 }
 
 
+def _is_int(value: object) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def program_from_json(obj: Mapping) -> Program:
     """Parse {"n": int, "steps": [...]} with named gates or raw [re, im] matrices."""
     if not isinstance(obj, Mapping):
@@ -426,7 +451,7 @@ def program_from_json(obj: Mapping) -> Program:
     if "n" not in obj or "steps" not in obj:
         raise ValueError('program needs "n" and "steps" fields')
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError(f'program field "n" must be an integer, got {n!r}')
     if not isinstance(obj["steps"], (list, tuple)):
         raise ValueError(f'program field "steps" must be a list, got {obj["steps"]!r}')
@@ -435,7 +460,7 @@ def program_from_json(obj: Mapping) -> Program:
         if not isinstance(step, Mapping):
             raise ValueError(f"step {pos} must be an object")
         targets = step.get("targets")
-        if not isinstance(targets, list) or not all(isinstance(t, int) for t in targets):
+        if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
             raise ValueError(f"step {pos} needs an integer target list")
         if "gate" in step:
             name = step["gate"]
@@ -445,7 +470,7 @@ def program_from_json(obj: Mapping) -> Program:
             if len(targets) != arity:
                 raise ValueError(f"step {pos}: gate {name} takes {arity} targets, got {len(targets)}")
             param = step.get("param")
-            if param is not None and not isinstance(param, int):
+            if param is not None and not _is_int(param):
                 raise ValueError(f"step {pos}: param must be an integer, got {param!r}")
             steps.append(builder(targets, param))
         elif "matrix" in step:

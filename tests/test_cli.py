@@ -208,6 +208,7 @@ def test_simulate_rejects_bad_program(tmp_path, capsys):
 
 
 _RAW_NULL_ENTRY = {"n": 1, "steps": [{"matrix": [[[1, None], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
+_RAW_BOOLEAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
 # json writes a NaN as the bare token NaN, which json.load reads back.
 _RAW_NAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
 
@@ -222,6 +223,10 @@ _RAW_NAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0
         (["simulate"], "--program", {"n": 1, "steps": [{"matrix": [1, 2], "targets": [0]}]}),
         (["period-find"], "--function", {"group": 5, "values": [0]}),
         (["period-find"], "--function", {"group": "Z2", "values": [True, False]}),
+        (["simulate"], "--program", {"n": 2, "steps": [{"gate": "CPHASE", "targets": [0, 1], "param": True}]}),
+        (["simulate"], "--program", {"n": 1, "steps": [{"gate": "H", "targets": [False]}]}),
+        (["simulate"], "--program", {"n": True, "steps": []}),
+        (["simulate"], "--program", _RAW_BOOLEAN_ENTRY),
     ],
     ids=[
         "vector null entry",
@@ -231,6 +236,10 @@ _RAW_NAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0
         "matrix row not a list",
         "group not a string",
         "table values boolean",
+        "gate param boolean",
+        "gate target boolean",
+        "register width boolean",
+        "raw matrix boolean entry",
     ],
 )
 def test_malformed_json_is_a_domain_error(tmp_path, capsys, argv, flag, document):

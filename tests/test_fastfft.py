@@ -396,6 +396,24 @@ def test_walsh_frozen_small_cases():
     assert np.allclose(out, want, atol=1e-14)
 
 
+# Digests as above, taken when each stage still copied both halves and built their sum and difference.
+_WALSH_DIGESTS = (
+    "adaff6d59038b059", "b48fc8a367c5b0c4", "c270f2c559ea1ff7", "1d9bb2df6642fc53", "787ff14b9d9b58b0",
+    "dafd1c4d59511980", "a6f9d85a0fa0abe4", "a304a5d5944bafc0", "84245eb3ab46c429", "245752af64fcf674",
+    "d612e7ebc9ddc6db", "19a1ab7ab75dbcc7", "7ef381671455bcc1", "cd4e00b4f09408c9", "cad6c2aee4f185e2",
+    "c3e5cfc71202f5b9", "508ebcc88b535ca2",
+)
+
+
+def test_walsh_spectra_pinned_and_input_left_alone():
+    for n, digest in enumerate(_WALSH_DIGESTS):
+        vec = random_vector(1 << n, np.random.default_rng(400 + n))
+        before = vec.copy()
+        out = walsh_hadamard(n, vec)
+        assert _digest(out) == digest, n
+        assert np.array_equal(vec, before) and not np.shares_memory(out, vec), n
+
+
 def test_walsh_rejects_bad_input():
     with pytest.raises(ValueError):
         walsh_hadamard(2, np.ones(3))

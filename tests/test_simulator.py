@@ -1,6 +1,7 @@
 """Strided gate kernels against dense Kronecker oracles, measurement semantics, program JSON."""
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -359,6 +360,17 @@ def test_program_from_json_rejects_garbage():
         program_from_json(
             {"n": 1, "steps": [{"targets": [0], "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}]}
         )
+    # JSON true and false load as bool, a subclass of int: each integer field refuses them by name.
+    with pytest.raises(ValueError, match="param"):
+        program_from_json({"n": 2, "steps": [{"gate": "CPHASE", "targets": [0, 1], "param": True}]})
+    with pytest.raises(ValueError, match="target"):
+        program_from_json({"n": 1, "steps": [{"gate": "H", "targets": [False]}]})
+    with pytest.raises(ValueError, match='"n"'):
+        program_from_json({"n": True, "steps": []})
+    for entry in ([True, 0], ["1", "0"]):
+        step = {"targets": [0], "matrix": [[entry, [0, 0]], [[0, 0], [1, 0]]]}
+        with pytest.raises(ValueError, match="two real numbers"):
+            program_from_json({"n": 1, "steps": [step]})
 
 
 def test_gate_sequence_unitarity_preserved():
@@ -481,3 +493,55 @@ def test_top_wire_gates_need_no_state_sized_temporary():
     assert np.count_nonzero(final.amps) == 2
     for index, amp in want.items():
         assert abs(final.amps[index] - amp) < 1e-15
+
+
+def _digest(amps):
+    return hashlib.sha256(amps.tobytes()).hexdigest()[:16]
+
+
+def _raw_gates_on_low_wires(rng):
+    # A raw 4x4 gate on every ordered pair of wires 0..5.
+    return tuple(Gate(random_unitary(4, rng), (hi, lo)) for hi in range(6) for lo in range(6) if hi != lo)
+
+
+# First 16 hex digits of the SHA-256 of the amplitude bytes, taken when the raw 4x4 product still
+# built its own temporaries for each gate.  A workspace must not move a single bit.  Like the
+# transform digests, these would need taking again on a numpy or BLAS build that rounds differently.
+_KERNEL_DIGESTS = {
+    "every kind on every wire": "f8d22399bc12e87b",
+    "raw program": "8f751f95d8f2b86a",
+    "raw apply_2q": "2d024f68b7e5f33b",
+}
+
+
+def test_kernel_outputs_are_pinned():
+    rng = np.random.default_rng(73)
+    program = _every_kind_on_every_wire(7, rng)
+    assert _digest(run_program(program, _random_state(7, rng)).amps) == _KERNEL_DIGESTS["every kind on every wire"]
+    rng = np.random.default_rng(74)
+    raw = Program(14, _raw_gates_on_low_wires(rng))
+    initial = _random_state(14, rng)
+    assert _digest(run_program(raw, initial).amps) == _KERNEL_DIGESTS["raw program"]
+    singles = hashlib.sha256()
+    for gate in raw.steps:
+        singles.update(apply_2q(initial, gate).amps.tobytes())
+    assert singles.hexdigest()[:16] == _KERNEL_DIGESTS["raw apply_2q"]
+
+
+def test_raw_product_allocates_nothing_state_sized_given_its_workspace():
+    n = 14
+    rng = np.random.default_rng(75)
+    state = _random_state(n, rng)
+    gate = Gate(random_unitary(4, rng), (3, 1))
+    want = apply_2q(state, gate).amps
+    amps, u = state.amps.copy(), gate.matrix
+    workspace = np.empty(2 << n, dtype=np.complex128)
+    view = simulator._wire_view(amps, (3, 1))
+    tracemalloc.start()
+    try:
+        simulator._product(view, u, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, f"peak {peak} bytes"
+    assert np.array_equal(amps, want)
