@@ -68,7 +68,10 @@ def _counts_to_json(report: OpCountReport) -> dict:
 
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _run_method(group: AbelianGroup, method: str, vec: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -331,7 +334,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = _HANDLERS[args.command](args)
+        _emit(_HANDLERS[args.command](args), args)
     except (ValueError, OSError, json.JSONDecodeError) as error:
         sys.stderr.write(f"error: {error}\n")
         return 1
@@ -339,7 +342,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = f": {error}" if str(error) else ""
         sys.stderr.write(f"error: out of memory{detail}\n")
         return 1
-    _emit(payload, args)
     return 0
 
 

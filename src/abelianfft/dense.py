@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, Coords, character_phases
+from .groups import AbelianGroup, Coords, _element_coords, _phases, character_phases
 
 # Largest group order for which the full transform matrix is materialised.
 DENSE_CAP = 4096
@@ -36,25 +36,10 @@ def _as_vector(f: Sequence[complex] | np.ndarray, length: int) -> np.ndarray:
     return vec
 
 
-def _coords(group: AbelianGroup, k: int | Sequence[int]) -> Coords:
-    if isinstance(k, (int, np.integer)):
-        return group.coords_of(int(k))
-    return group.validate_coords(k)
-
-
-def _phase_block(group: AbelianGroup, rows: np.ndarray) -> np.ndarray:
-    # Integer phase numerators P[g, k] = sum_i g_i k_i (lcm/m_i) mod lcm for the given row indices.
-    # Magnitudes stay below 2**53, so the float matmul is exact before reduction.
-    table = group.coords_table
-    weighted = table[rows].astype(np.float64) * np.asarray(group.char_weights, dtype=np.float64)
-    raw = weighted @ table.T.astype(np.float64)
-    return np.remainder(raw.astype(np.int64), group.lcm)
-
-
 @lru_cache(maxsize=2)
 def _cached_entries(moduli: Coords) -> np.ndarray:
     group = AbelianGroup(moduli)
-    phases = _phase_block(group, np.arange(group.order))
+    phases = _phases(group, group.coords_table, group.coords_table)
     entries = np.exp((2j * np.pi / group.lcm) * phases) / sqrt(group.order)
     entries.setflags(write=False)
     return entries
@@ -81,15 +66,14 @@ def apply_dense(group: AbelianGroup, f: Sequence[complex] | np.ndarray) -> np.nd
     scale = 1.0 / sqrt(group.order)
     for start in range(0, group.order, block):
         rows = np.arange(start, min(start + block, group.order))
-        phases = _phase_block(group, rows)
+        phases = _phases(group, group.coords_table[rows], group.coords_table)
         out[rows] = (np.exp((2j * np.pi / group.lcm) * phases) @ vec) * scale
     return out
 
 
 def fourier_basis_state(group: AbelianGroup, k: int | Sequence[int]) -> np.ndarray:
     """The unit vector with components conj(chi_k(g)) / sqrt(|G|); the transform maps it to basis k."""
-    coords = _coords(group, k)
-    phases = character_phases(group, coords)
+    phases = character_phases(group, k)
     return np.exp((-2j * np.pi / group.lcm) * phases) / sqrt(group.order)
 
 
@@ -97,5 +81,5 @@ def shift_vector(group: AbelianGroup, k: int | Sequence[int], f: Sequence[comple
     """Permute components by translation: out[g + k] = f[g].  Exact, no arithmetic on values."""
     vec = _as_vector(f, group.order)
     out = np.empty_like(vec)
-    out[group.translate(np.arange(group.order), group.index_of(_coords(group, k)))] = vec
+    out[group.translate(np.arange(group.order), group.index_of(_element_coords(group, k)))] = vec
     return out

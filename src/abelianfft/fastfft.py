@@ -10,7 +10,16 @@ from typing import Sequence
 import numpy as np
 
 from .dense import _as_vector
-from .groups import AbelianGroup, Subgroup, _element_order, character_phases, make_group
+from .groups import (
+    AbelianGroup,
+    Subgroup,
+    _annihilated,
+    _element_order,
+    _orbit_min,
+    _phases,
+    character_phases,
+    make_group,
+)
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -103,18 +112,8 @@ def predict_cost(order: int, suborder: int) -> int:
 
 
 def _char_matrix(group: AbelianGroup, labels: np.ndarray, args: np.ndarray) -> np.ndarray:
-    # chi_label(arg) for each label row and arg column, from exact integer phases.  The pairing is
-    # symmetric, so the phases are read one row or one column at a time, whichever are fewer; the
-    # row or column of the identity, whose phases are all zero, is not read.
-    phases = np.zeros((len(labels), len(args)), dtype=np.int64)
-    if len(labels) <= len(args):
-        for row, label in enumerate(labels):
-            if label:
-                phases[row] = character_phases(group, label, args)
-    else:
-        for column, arg in enumerate(args):
-            if arg:
-                phases[:, column] = character_phases(group, arg, labels)
+    # chi_label(arg) for each label row and arg column, from exact integer phases.
+    phases = _phases(group, group._coords(labels), group._coords(args))
     return np.exp((2j * np.pi / group.lcm) * phases)
 
 
@@ -154,21 +153,17 @@ class _TowerPlan:
         shifts = np.zeros(1, dtype=np.int64)
         for level in tower.levels:
             index = len(above) // level.order
-            trivial = labels
-            for gen in level.generators():
-                trivial = trivial[character_phases(group, gen, trivial) == 0]
+            trivial = _annihilated(group, level.generators(), labels)
             # least[c]: the least class above merged with class c so far.  Greedy generators of
-            # the trivial labels (modulo the classes above) each merge classes along their cycles
-            # by doubling, as coset_decompose does, and key the members above by their phases.
+            # the trivial labels (modulo the classes above) each merge classes along their cycles,
+            # as coset_decompose does, and key the members above by their phases.
             least = np.arange(len(labels))
             coset = None
             trivial_classes = np.searchsorted(labels, trivial)
             while (pending := trivial_classes[least[trivial_classes] != 0]).size:
                 gen = int(labels[pending[0]])
-                step, window = class_of[group.translate(labels, gen)], 1
-                while window < min(_element_order(group, gen), index):
-                    least = np.minimum(least, least[step])
-                    step, window = step[step], 2 * window
+                step = class_of[group.translate(labels, gen)]
+                least = _orbit_min(least, step, min(_element_order(group, gen), index))
                 phase = character_phases(group, gen, above)
                 coset = phase if coset is None else np.unique(coset * group.lcm + phase, return_inverse=True)[1]
             _, first = np.unique(coset, return_index=True)

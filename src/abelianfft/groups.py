@@ -68,6 +68,14 @@ class AbelianGroup:
         return tuple(self.lcm // m for m in self.moduli)
 
     @cached_property
+    def _pairing_weights(self) -> np.ndarray:
+        # char_weights as the array _phases multiplies label coordinates by.  A term
+        # a_i b_i (lcm/m_i) is below m_i lcm, so every partial sum is below lcm * sum(m_i): int64
+        # holds them exactly under 2**63, Python integers above.
+        exact = np.int64 if self.lcm * sum(self.moduli) < 2**63 else object
+        return np.array(self.char_weights, dtype=exact)
+
+    @cached_property
     def coords_table(self) -> np.ndarray:
         """Coordinates of every element by index, shape (order, rank).  Read-only.
 
@@ -232,15 +240,28 @@ def character_eval(group: AbelianGroup, label: Sequence[int], arg: Sequence[int]
     return complex(np.exp(2j * np.pi * character_phase(group, label, arg) / group.lcm))
 
 
+def _element_coords(group: AbelianGroup, element: int | Sequence[int]) -> Coords:
+    # The validated coordinates of an element given by index or by coordinate tuple.
+    if isinstance(element, (int, np.integer)):
+        return group.coords_of(int(element))
+    return group.validate_coords(element)
+
+
+def _phases(group: AbelianGroup, args: np.ndarray, labels: Sequence[int] | np.ndarray) -> np.ndarray:
+    # Int64 phase numerators sum_i a_i b_i (lcm/m_i) mod lcm of coordinate rows args (shape
+    # (..., rank)) against one label's coordinates (shape (rank,): one phase per row) or several
+    # labels' (shape (L, rank): one column per label), exact for every order.
+    weighted = np.multiply(labels, group._pairing_weights)
+    return np.remainder(args @ weighted.T, group.lcm).astype(np.int64, copy=False)
+
+
 def character_phases(
     group: AbelianGroup, label: int | Sequence[int], elements: Indices | None = None
 ) -> np.ndarray:
     """Integer phase numerators of chi_label over the given element indices, every element in index
     order by default.  The pairing is symmetric: entry x is also the phase of chi_x at label."""
-    coords = group.coords_of(int(label)) if isinstance(label, (int, np.integer)) else group.validate_coords(label)
-    mult = np.array([c * w for c, w in zip(coords, group.char_weights)], dtype=np.int64)
     table = group.coords_table if elements is None else group._coords(group._checked(elements))
-    return (table @ mult) % group.lcm
+    return _phases(group, table, _element_coords(group, label))
 
 
 def _mask_of(group: AbelianGroup, indices: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -251,10 +272,12 @@ def _mask_of(group: AbelianGroup, indices: Iterable[int] | np.ndarray) -> np.nda
 
 def _annihilated(group: AbelianGroup, labels: Iterable[int], elements: np.ndarray | None = None) -> np.ndarray:
     # The elements x (every element by default) with chi_l(x) = 1 for every given label l, in exact
-    # integer arithmetic and in their given order.  Each label filters only the survivors so far.
+    # integer arithmetic and in their given order.  Each label filters only the survivors so far;
+    # the elements are checked indices already, so only the labels are validated.
     survivors = elements
     for label in labels:
-        zero = character_phases(group, label, survivors) == 0
+        table = group.coords_table if survivors is None else group._coords(survivors)
+        zero = _phases(group, table, group.coords_of(label)) == 0
         survivors = np.flatnonzero(zero) if survivors is None else survivors[zero]
     return np.arange(group.order, dtype=np.int64) if survivors is None else survivors
 
@@ -389,19 +412,25 @@ def _element_order(group: AbelianGroup, index: int) -> int:
     return lcm(*(m // gcd(c, m) for c, m in zip(group.coords_of(index), group.moduli)))
 
 
+def _orbit_min(values: np.ndarray, step: np.ndarray, length: int) -> np.ndarray:
+    # values[x] lowered to the least of values[x], values[step[x]], values[step[step[x]]], ...:
+    # the window of steps doubles until it spans at least `length` of them.
+    window = 1
+    while window < length:
+        values = np.minimum(values, values[step])
+        step, window = step[step], 2 * window
+    return values
+
+
 def coset_decompose(group: AbelianGroup, subgroup: Subgroup) -> CosetDecomposition:
     """Partition the group into cosets of the subgroup."""
     if subgroup.parent != group:
         raise ValueError("subgroup belongs to a different group")
     elements = np.arange(group.order, dtype=np.int64)
-    # rep[e] = min(e + H): fold each generator's cycle in by doubling the window of multiples.
+    # rep[e] = min(e + H): fold each generator's cycle in.
     rep = elements
     for gen in subgroup.generators():
-        cycle = _element_order(group, gen)
-        step, window = group.translate(elements, gen), 1
-        while window < cycle:
-            rep = np.minimum(rep, rep[step])
-            step, window = step[step], 2 * window
+        rep = _orbit_min(rep, group.translate(elements, gen), _element_order(group, gen))
     representatives, coset_of = np.unique(rep, return_inverse=True)
     offsets = group.translate(elements, group.negate(rep))
     members = subgroup._indices

@@ -47,21 +47,6 @@ class GateList:
         return GateCountReport(hs, cps, sws, len(self.gates))
 
 
-def _level_ops(m: int) -> list[tuple]:
-    # The network on fixed wires, innermost level first.  Each op is
-    # ("cphase", low, high, exponent) or ("h", wire) or ("swap", a, b).
-    ops: list[tuple] = []
-    for k in range(1, m + 1):
-        base = m - k
-        for p in range(1, k):
-            # diag(1,1,1, w^(2^(p-1))) with w = exp(2 pi i / 2^k) is a phase of 2 pi / 2^(k-p+1).
-            ops.append(("cphase", base, base + p, k - p + 1))
-        ops.append(("h", base))
-        for a in range(base, m - 1):
-            ops.append(("swap", a, a + 1))
-    return ops
-
-
 def compile_qft(m: int, reorder_mode: str = "relabel") -> GateList:
     """Compile the transform network on m wires, at most the simulator's STATE_CAP."""
     if not isinstance(m, int) or m < 1:
@@ -71,20 +56,22 @@ def compile_qft(m: int, reorder_mode: str = "relabel") -> GateList:
         raise ValueError(f"qubit count {m} outside [1, {STATE_CAP}]")
     if reorder_mode not in REORDER_MODES:
         raise ValueError(f"reorder mode {reorder_mode!r} not in {REORDER_MODES}")
-    # wire_of[x] is where the content of fixed-network wire x currently lives.  Gates are
-    # emitted on the mapped wires; with deferred reordering swaps only update the map.
+    # The network on fixed wires, innermost level first.  wire_of[x] is where the content of
+    # fixed-network wire x currently lives.  Gates are emitted on the mapped wires; with deferred
+    # reordering swaps only update the map.
     gates: list[Gate] = []
     wire_of = list(range(m))
-    for op in _level_ops(m):
-        if op[0] == "cphase":
-            gates.append(cphase(wire_of[op[1]], wire_of[op[2]], exponent=op[3]))
-        elif op[0] == "h":
-            gates.append(hadamard(wire_of[op[1]]))
-        elif reorder_mode == "swaps":
-            gates.append(swap_gate(op[1], op[2]))
-        else:
-            a, b = op[1], op[2]
-            wire_of[a], wire_of[b] = wire_of[b], wire_of[a]
+    for k in range(1, m + 1):
+        base = m - k
+        for p in range(1, k):
+            # diag(1,1,1, w^(2^(p-1))) with w = exp(2 pi i / 2^k) is a phase of 2 pi / 2^(k-p+1).
+            gates.append(cphase(wire_of[base], wire_of[base + p], exponent=k - p + 1))
+        gates.append(hadamard(wire_of[base]))
+        for a in range(base, m - 1):
+            if reorder_mode == "swaps":
+                gates.append(swap_gate(a, a + 1))
+            else:
+                wire_of[a], wire_of[a + 1] = wire_of[a + 1], wire_of[a]
     return GateList(m, tuple(gates), reorder_mode, tuple(wire_of))
 
 

@@ -100,7 +100,9 @@ def _product(view: np.ndarray, u: np.ndarray, workspace: np.ndarray) -> None:
 def _check_unitary(matrix: np.ndarray) -> None:
     if matrix.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"gate matrix has shape {matrix.shape}, expected 2x2 or 4x4")
-    deviation = np.max(np.abs(matrix @ matrix.conj().T - np.eye(matrix.shape[0])))
+    # Huge entries overflow to inf or NaN, which fail the check below without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.max(np.abs(matrix @ matrix.conj().T - np.eye(matrix.shape[0])))
     if not deviation <= UNITARY_TOL:
         raise ValueError(f"gate matrix is not unitary (deviation {deviation:.3e})")
 
@@ -464,7 +466,7 @@ def program_from_json(obj: Mapping) -> Program:
             raise ValueError(f"step {pos} needs an integer target list")
         if "gate" in step:
             name = step["gate"]
-            if name not in _NAMED_BUILDERS:
+            if not isinstance(name, str) or name not in _NAMED_BUILDERS:
                 raise ValueError(f"step {pos} names unknown gate {name!r}")
             arity, builder = _NAMED_BUILDERS[name]
             if len(targets) != arity:

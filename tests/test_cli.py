@@ -211,6 +211,8 @@ _RAW_NULL_ENTRY = {"n": 1, "steps": [{"matrix": [[[1, None], [0, 0]], [[0, 0], [
 _RAW_BOOLEAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
 # json writes a NaN as the bare token NaN, which json.load reads back.
 _RAW_NAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
+# Its unitarity product overflows to inf and inf - inf.
+_RAW_HUGE_ENTRY = {"n": 1, "steps": [{"matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
 
 
 @pytest.mark.parametrize(
@@ -227,6 +229,8 @@ _RAW_NAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0
         (["simulate"], "--program", {"n": 1, "steps": [{"gate": "H", "targets": [False]}]}),
         (["simulate"], "--program", {"n": True, "steps": []}),
         (["simulate"], "--program", _RAW_BOOLEAN_ENTRY),
+        (["simulate"], "--program", _RAW_HUGE_ENTRY),
+        (["simulate"], "--program", {"n": 1, "steps": [{"gate": [0], "targets": [0]}]}),
     ],
     ids=[
         "vector null entry",
@@ -240,6 +244,8 @@ _RAW_NAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0
         "gate target boolean",
         "register width boolean",
         "raw matrix boolean entry",
+        "raw matrix entry overflows",
+        "gate name not a string",
     ],
 )
 def test_malformed_json_is_a_domain_error(tmp_path, capsys, argv, flag, document):
@@ -248,6 +254,22 @@ def test_malformed_json_is_a_domain_error(tmp_path, capsys, argv, flag, document
     code, out, err = _run(capsys, *argv, flag, str(source))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_deeply_nested_json_is_a_domain_error(tmp_path, capsys):
+    # json.dumps cannot write a document this deep, so it is written as text.
+    source = tmp_path / "deep.json"
+    source.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = _run(capsys, "simulate", "--program", str(source))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_path_is_a_domain_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.json"
+    code, out, err = _run(capsys, "qft-compile", "--m", "2", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_qft_compile_json(capsys):

@@ -1,6 +1,7 @@
 """Dense transform: unitarity, frozen matrices, basis interchange, shift duality, streaming."""
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,34 @@ def test_streaming_path_matches_matrix_path(monkeypatch):
     streamed = apply_dense(g, vec)
     assert dense._cached_entries.cache_info().misses == misses
     assert np.max(np.abs(streamed - from_matrix)) < 1e-12
+
+
+def _digest(values: np.ndarray) -> str:
+    return hashlib.sha256(values.tobytes()).hexdigest()[:16]
+
+
+# First 16 hex digits of the SHA-256 of the output bytes, per group: apply_dense through the
+# cached matrix, apply_dense through the streamed row blocks (DENSE_CAP lowered to 8, so Z2xZ3
+# still takes the matrix), and every fourier_basis_state stacked by k.  Recorded from the
+# float64 phase product these integer phases replaced: the phases must be the same integers.
+_DENSE_DIGESTS = {
+    (12,): ("7ea1af3b087726c7", "1e4e8aac2c966162", "83ad9d9f2646b7e3"),
+    (2, 3): ("7f15ab2e32f53dd3", "7f15ab2e32f53dd3", "4dd271109c2d3f50"),
+    (7, 7): ("f7214126b3396939", "0e6100935154a95c", "f55c94054e3df0a1"),
+    (2,) * 8: ("9f89308c9e36b034", "9f89308c9e36b034", "c364425275acc776"),
+    (4, 9, 5): ("325e57657c2c15ba", "78790fb0c6a647da", "50772c5816e7c592"),
+}
+
+
+@pytest.mark.parametrize("moduli", list(_DENSE_DIGESTS), ids=lambda m: make_group(m).spec_string())
+def test_dense_outputs_pinned(monkeypatch, moduli):
+    g = make_group(moduli)
+    vec = random_vector(g.order, np.random.default_rng(g.order))
+    from_matrix = apply_dense(g, vec)
+    monkeypatch.setattr(dense, "DENSE_CAP", 8)
+    streamed = apply_dense(g, vec)
+    basis = np.stack([fourier_basis_state(g, k) for k in range(g.order)])
+    assert (_digest(from_matrix), _digest(streamed), _digest(basis)) == _DENSE_DIGESTS[moduli]
 
 
 def test_streaming_memory_stays_below_the_matrix_it_avoids():

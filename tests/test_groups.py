@@ -91,6 +91,9 @@ def test_translate_negate_and_coords_table_match_the_scalar_oracle():
         assert g.negate(a).tolist() == negs
         assert [g.add_index(int(x), int(y)) for x, y in zip(a, b)] == sums
         assert [g.neg_index(int(x)) for x in a] == negs
+        label = g.coords_of(int(a[0]))
+        phases = [character_phase(g, label, g.coords_of(int(y))) for y in b]
+        assert character_phases(g, int(a[0]), b).tolist() == phases
         # Broadcast: a column of indices against a row of shifts, and a scalar shift.
         table = g.translate(a[:8, None], b[None, :5])
         assert table.tolist() == [[g.add_index(int(x), int(y)) for y in b[:5]] for x in a[:8]]
