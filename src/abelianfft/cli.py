@@ -74,7 +74,17 @@ def _load_json(path: str) -> object:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _check_method(group: AbelianGroup, method: str) -> None:
+    if method == "tower" and group.order == 1:
+        raise ValueError("tower method needs a group of order at least 2")
+    if method == "radix2" and not group.is_cyclic_power_of_two:
+        raise ValueError(f"radix2 method needs a cyclic group of order 2^n, got {group.spec_string()}")
+    if method == "walsh" and not group.is_boolean:
+        raise ValueError(f"walsh method needs a product of Z2 factors, got {group.spec_string()}")
+
+
 def _run_method(group: AbelianGroup, method: str, vec: np.ndarray) -> tuple[np.ndarray, dict]:
+    _check_method(group, method)
     if method == "dense":
         spectrum = apply_dense(group, vec)
         n = group.order
@@ -84,19 +94,13 @@ def _run_method(group: AbelianGroup, method: str, vec: np.ndarray) -> tuple[np.n
             "predicted_bound": n * n,
         }
     elif method == "tower":
-        if group.order == 1:
-            raise ValueError("tower method needs a group of order at least 2")
         spectrum, report = fft_tower(group, build_tower(group), vec)
         counts = _counts_to_json(report)
     elif method == "radix2":
-        if not group.is_cyclic_power_of_two:
-            raise ValueError(f"radix2 method needs a cyclic group of order 2^n, got {group.spec_string()}")
         n = (group.order - 1).bit_length()
         spectrum, report = fft_radix2(n, vec)
         counts = _counts_to_json(report)
     elif method == "walsh":
-        if not group.is_boolean:
-            raise ValueError(f"walsh method needs a product of Z2 factors, got {group.spec_string()}")
         n = group.rank
         spectrum = walsh_hadamard(n, vec)
         counts = {
@@ -251,6 +255,7 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
     for m in methods:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r} (choose from {', '.join(_METHODS)})")
+        _check_method(group, m)
     if group.order > 1 << STATE_CAP:
         raise ValueError(f"group order {group.order} exceeds the bench limit 2^{STATE_CAP}")
     rng = np.random.default_rng(args.seed)

@@ -27,8 +27,10 @@ those of drawing with choice shot by shot.
 Sampling is only sound when the table is one-to-one on the cosets of its
 stabiliser K.  Then K is the preimage of f(0), so both modes take K as that
 preimage and check it once: it must be a subgroup on whose cosets f is
-one-to-one.  A table that fails is degenerate and refused.
-`stabilizer_bruteforce`, which compares translates, is kept as the test oracle.
+one-to-one.  That check is the definition: no generator of K moves a value,
+and the table takes exactly [G:K] distinct values.  A table that fails is
+degenerate and refused.  `stabilizer_bruteforce`, which compares translates,
+is kept as the test oracle.
 """
 from __future__ import annotations
 
@@ -39,13 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dense import apply_dense
-from .groups import (
-    AbelianGroup,
-    Subgroup,
-    _annihilated,
-    coset_decompose,
-    full_subgroup,
-)
+from .groups import AbelianGroup, Subgroup, _annihilated, annihilator
 from .qft_circuit import GateList, _run_network, compile_qft
 from .simulator import STATE_CAP, QState, _cdf, _collapse, _collapsed, _draw, _outcome_law
 
@@ -94,7 +90,7 @@ class StabilizerResult:
 def stabilizer_bruteforce(f: FunctionTable) -> Subgroup:
     """All k with f(k + g) = f(g) for every g, by direct comparison."""
     group = f.group
-    values = np.asarray(f.values, dtype=np.int64)
+    values = f._values
     elements = np.arange(group.order)
     # g = 0 shows that f(k) = f(0) is necessary, so only those k are compared in full.
     candidates = np.flatnonzero(values == values[0]).tolist()
@@ -103,15 +99,17 @@ def stabilizer_bruteforce(f: FunctionTable) -> Subgroup:
 
 
 def check_nondegenerate(f: FunctionTable, stabilizer: Subgroup) -> bool:
-    """True iff f is one-to-one on cosets: constant within each coset, distinct across cosets."""
+    """True iff f is one-to-one on cosets of K: no generator of K moves a value, and f takes [G:K] values."""
     if stabilizer.parent != f.group:
         raise ValueError("stabiliser belongs to a different group")
-    dec = coset_decompose(f.group, stabilizer)
-    values = f._values
-    rep_values = values[np.asarray(dec.representatives, dtype=np.int64)]
-    if not np.array_equal(values, rep_values[dec.coset_of]):
+    group, values = f.group, f._values
+    elements = np.arange(group.order)
+    if not all(np.array_equal(values[group.translate(elements, h)], values) for h in stabilizer.generators()):
         return False
-    return len(set(rep_values.tolist())) == len(dec.representatives)
+    # Distinct values by sort and neighbour compare: np.unique's hash path imports numpy.ma.
+    ordered = np.sort(values)
+    distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+    return distinct * stabilizer.order == group.order
 
 
 def _register_widths(f: FunctionTable) -> tuple[int, int]:
@@ -232,14 +230,9 @@ def label_distribution(group: AbelianGroup, stabilizer: Subgroup) -> np.ndarray:
 
 def reconstruct_subgroup(group: AbelianGroup, labels: Sequence[int]) -> Subgroup:
     """Intersection of the exact constraints chi_label(k) = 1 over the observed labels."""
-    distinct = sorted(set(int(l) for l in labels))
-    for l in distinct:
-        if not 0 <= l < group.order:
-            raise ValueError(f"label index {l} out of range for group of order {group.order}")
-    if not distinct:
+    if not len(labels):
         warnings.warn("no labels observed: reconstruction is the whole group", stacklevel=2)
-        return full_subgroup(group)
-    return Subgroup(group, _annihilated(group, distinct))
+    return annihilator(group, labels)
 
 
 def _check_mode_order(order: int, mode: str) -> None:

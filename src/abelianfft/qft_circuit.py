@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .simulator import STATE_CAP, Gate, Program, QState, cphase, hadamard, run_program, swap_gate
+from .simulator import Gate, Program, QState, _check_width, cphase, hadamard, run_program, swap_gate
 
 REORDER_MODES = ("swaps", "relabel")
 
@@ -51,9 +51,8 @@ def compile_qft(m: int, reorder_mode: str = "relabel") -> GateList:
     """Compile the transform network on m wires, at most the simulator's STATE_CAP."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"wire count {m!r} must be a positive integer")
-    # Program refuses such a width; emission is quadratic in m, so refuse it first, with Program's message.
-    if m > STATE_CAP:
-        raise ValueError(f"qubit count {m} outside [1, {STATE_CAP}]")
+    # Program refuses such a width; emission is quadratic in m, so refuse it first.
+    _check_width(m)
     if reorder_mode not in REORDER_MODES:
         raise ValueError(f"reorder mode {reorder_mode!r} not in {REORDER_MODES}")
     # The network on fixed wires, innermost level first.  wire_of[x] is where the content of

@@ -213,6 +213,12 @@ def _apply(
     return workspace
 
 
+def _check_width(n_qubits: int) -> None:
+    # Run before anything state-sized is allocated.
+    if not 1 <= n_qubits <= STATE_CAP:
+        raise ValueError(f"qubit count {n_qubits} outside [1, {STATE_CAP}]")
+
+
 @dataclass(frozen=True)
 class QState:
     """An n-qubit state vector; construction checks length and unit norm."""
@@ -221,8 +227,7 @@ class QState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= STATE_CAP:
-            raise ValueError(f"qubit count {self.n_qubits} outside [1, {STATE_CAP}]")
+        _check_width(self.n_qubits)
         amps = np.asarray(self.amps, dtype=np.complex128)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({1 << self.n_qubits},)")
@@ -241,12 +246,12 @@ def _basis_amps(n_qubits: int, index: int) -> np.ndarray:
 
 def new_state(n_qubits: int) -> QState:
     """|0...0> on n qubits."""
-    if not 1 <= n_qubits <= STATE_CAP:
-        raise ValueError(f"qubit count {n_qubits} outside [1, {STATE_CAP}]")
+    _check_width(n_qubits)
     return QState(n_qubits, _basis_amps(n_qubits, 0))
 
 
 def basis_state(n_qubits: int, index: int) -> QState:
+    _check_width(n_qubits)
     if not 0 <= index < (1 << n_qubits):
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     return QState(n_qubits, _basis_amps(n_qubits, index))
@@ -291,8 +296,7 @@ class Program:
     steps: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= STATE_CAP:
-            raise ValueError(f"qubit count {self.n_qubits} outside [1, {STATE_CAP}]")
+        _check_width(self.n_qubits)
         object.__setattr__(self, "steps", tuple(self.steps))
         for pos, gate in enumerate(self.steps):
             for t in gate.targets:

@@ -423,6 +423,17 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_bench_checks_every_method_before_running_any(monkeypatch, capsys):
+    # The default methods are dense,radix2: dense on Z2^20 would run for hours before radix2 refused it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense transform ran")
+
+    monkeypatch.setattr(cli, "apply_dense", refuse)
+    code, out, err = _run(capsys, "bench", "--group", "Z2^20")
+    assert code == 1 and out == ""
+    assert err == f"error: radix2 method needs a cyclic group of order 2^n, got {'x'.join(['Z2'] * 20)}\n"
+
+
 def test_bench_rejects_unknown_method(capsys):
     code, _, err = _run(capsys, "bench", "--group", "Z8", "--methods", "dense,fancy")
     assert code == 1 and "error:" in err
@@ -485,3 +496,45 @@ def test_spectrum_matches_library_matrix(tmp_path, capsys):
     got = np.array([complex(re, im) for re, im in payload["spectrum"]])
     want = dense_fourier_matrix(g).entries @ vec
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+# SHA-256 prefixes of the stdout of every command in the README's command-line section, plus two
+# larger simon runs, each run in-process on the input files _write_readme_inputs makes.  Taken
+# while check_nondegenerate still built a coset decomposition.
+_README_DIGESTS = {
+    "fft --group Z4 --input delta.json --method dense --emit-counts": "5f75c1e84e428fb8",
+    "fft --group Z2^3 --input vec8.json --method walsh": "7a1ac322bf0c8419",
+    "fft --group Z8 --input vec8.json --method radix2": "b88d45c3edb6b291",
+    "fft --group Z2xZ3 --input vec6.json --method tower": "e3f625296978fbd0",
+    "simulate --program bell.json --shots 1000": "a8dbe126cd6aacd3",
+    "simulate --program bell.json --measure 0": "2b58deaa343dfffc",
+    "qft-compile --m 4": "9762253f35135f5b",
+    "qft-compile --m 4 --reorder swaps": "2f2b0d31f1d2b152",
+    "qft-compile --m 4 --emit text": "ca0e0676305d3031",
+    "period-find --function table.json --mode exact": "3d723869fa859fd0",
+    "period-find --function table.json --mode simulate --shots 100": "2dfb0891ddd40ffd",
+    "simon --n 4 --mask 0110": "9f84defe22092b82",
+    "bench --group Z16 --methods dense,tower,radix2": "3f4ee1a1dd3e5d3b",
+    "simon --n 12 --mask 100000000001": "412913f7fc6bd26e",
+    "simon --n 8 --mask 01100001 --mode simulate": "02545ca9d0774a7d",
+}
+
+
+def _write_readme_inputs(directory) -> None:
+    rng = np.random.default_rng(2012)
+    (directory / "delta.json").write_text("[[1,0],[0,0],[0,0],[0,0]]")
+    _write_vector(directory / "vec8.json", rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    _write_vector(directory / "vec6.json", rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    (directory / "bell.json").write_text(
+        '{"n":2,"steps":[{"gate":"H","targets":[0]},{"gate":"CNOT","targets":[0,1]}]}'
+    )
+    (directory / "table.json").write_text('{"group":"Z12","values":[0,1,2,0,1,2,0,1,2,0,1,2]}')
+
+
+@pytest.mark.parametrize("command", list(_README_DIGESTS))
+def test_readme_commands_pinned(tmp_path, monkeypatch, capsys, command):
+    _write_readme_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == _README_DIGESTS[command]

@@ -1,6 +1,7 @@
 """Property tests over random groups: the array group arithmetic against coordinate arithmetic,
 the tower transform against the dense oracle whatever tower it runs on, the transform's
-Parseval identity and shift duality, and the stabiliser route against the brute-force oracle."""
+Parseval identity and shift duality, the stabiliser route against the brute-force oracle, and the
+nondegeneracy check against the coset table on arbitrary subgroups."""
 from __future__ import annotations
 
 from math import prod
@@ -174,3 +175,31 @@ def test_stabiliser_route_matches_the_oracle(f):
         assert not check_nondegenerate(f, want)
     else:
         assert check_nondegenerate(f, want) and got == want
+
+
+def _one_to_one_on_cosets(f: FunctionTable, subgroup) -> bool:
+    # The coset-table formula: every value equals its coset representative's, and the
+    # representatives' values are distinct.
+    dec = coset_decompose(f.group, subgroup)
+    rep_values = f._values[np.asarray(dec.representatives, dtype=np.int64)]
+    if not np.array_equal(f._values, rep_values[dec.coset_of]):
+        return False
+    return len(set(rep_values.tolist())) == len(dec.representatives)
+
+
+@_SETTINGS
+@given(function_tables(), st.sampled_from(("random", "stabiliser", "inside", "above")), st.integers(0, 2**32 - 1))
+def test_nondegeneracy_matches_the_coset_table_on_any_subgroup(f, kind, seed):
+    # H is a random subgroup, the stabiliser K, K less one generator (f is constant on the cosets of
+    # such an H but takes fewer than [G:H] values), or K plus a random element.
+    group = f.group
+    rng = np.random.default_rng(seed)
+    gens = list(stabilizer_bruteforce(f).generators())
+    if kind == "random":
+        gens = rng.integers(0, group.order, size=rng.integers(0, 3)).tolist()
+    elif kind == "inside":
+        gens = gens[:-1]
+    elif kind == "above":
+        gens.append(int(rng.integers(0, group.order)))
+    subgroup = subgroup_from_generators(group, [group.coords_of(g) for g in gens])
+    assert check_nondegenerate(f, subgroup) == _one_to_one_on_cosets(f, subgroup)

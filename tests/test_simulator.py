@@ -128,6 +128,19 @@ def test_new_and_basis_state():
     assert b.amps[5] == 1.0 and np.count_nonzero(b.amps) == 1
 
 
+@pytest.mark.parametrize("n", [STATE_CAP + 1, 64])
+def test_basis_state_rejects_oversized_width_before_allocating(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            basis_state(n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"qubit count {n} outside [1, {STATE_CAP}]"
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_apply_1q_matches_kron_oracle(n):
     rng = np.random.default_rng(10 + n)
