@@ -5,6 +5,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -58,14 +59,6 @@ def _vector_to_json(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
-def _counts_to_json(report: OpCountReport) -> dict:
-    return {
-        "complex_multiplies": report.complex_multiplies,
-        "complex_adds": report.complex_adds,
-        "predicted_bound": report.predicted_bound,
-    }
-
-
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -83,34 +76,20 @@ def _check_method(group: AbelianGroup, method: str) -> None:
         raise ValueError(f"walsh method needs a product of Z2 factors, got {group.spec_string()}")
 
 
-def _run_method(group: AbelianGroup, method: str, vec: np.ndarray) -> tuple[np.ndarray, dict]:
+def _run_method(group: AbelianGroup, method: str, vec: np.ndarray) -> tuple[np.ndarray, OpCountReport]:
+    # Tower and radix-2 tallies come from the executing transform; dense and walsh ones are closed forms.
     _check_method(group, method)
     if method == "dense":
-        spectrum = apply_dense(group, vec)
         n = group.order
-        counts = {
-            "complex_multiplies": n * n,
-            "complex_adds": n * (n - 1),
-            "predicted_bound": n * n,
-        }
-    elif method == "tower":
-        spectrum, report = fft_tower(group, build_tower(group), vec)
-        counts = _counts_to_json(report)
-    elif method == "radix2":
-        n = (group.order - 1).bit_length()
-        spectrum, report = fft_radix2(n, vec)
-        counts = _counts_to_json(report)
-    elif method == "walsh":
+        return apply_dense(group, vec), OpCountReport(n * n, n * (n - 1), n * n)
+    if method == "tower":
+        return fft_tower(group, build_tower(group), vec)
+    if method == "radix2":
+        return fft_radix2((group.order - 1).bit_length(), vec)
+    if method == "walsh":
         n = group.rank
-        spectrum = walsh_hadamard(n, vec)
-        counts = {
-            "complex_multiplies": 1 << n,
-            "complex_adds": n * (1 << n),
-            "predicted_bound": n * (1 << n),
-        }
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return spectrum, counts
+        return walsh_hadamard(n, vec), OpCountReport(1 << n, n * (1 << n), n * (1 << n))
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _cmd_fft(args: argparse.Namespace) -> dict:
@@ -124,11 +103,13 @@ def _cmd_fft(args: argparse.Namespace) -> dict:
         "spectrum": _vector_to_json(spectrum),
     }
     if args.emit_counts:
-        payload["counts"] = counts
+        payload["counts"] = asdict(counts)
     return payload
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
+    if args.shots < 0:
+        raise ValueError(f"shot count {args.shots} must not be negative")
     program = program_from_json(_load_json(args.program))
     state = run_program(program)
     payload: dict = {
@@ -160,18 +141,12 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 
 def _cmd_qft_compile(args: argparse.Namespace) -> dict:
     compiled = compile_qft(args.m, args.reorder)
-    counts = compiled.counts()
     return {
         "m": args.m,
         "reorder": args.reorder,
         "program": program_to_json(compiled.to_program()),
         "final_permutation": list(compiled.final_permutation),
-        "gate_counts": {
-            "hadamards": counts.hadamards,
-            "cphases": counts.cphases,
-            "swaps": counts.swaps,
-            "total": counts.total,
-        },
+        "gate_counts": asdict(compiled.counts()),
     }
 
 
@@ -261,10 +236,7 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
     rng = np.random.default_rng(args.seed)
     vec = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
     vec /= np.linalg.norm(vec)
-    results = {}
-    for m in methods:
-        _, counts = _run_method(group, m, vec)
-        results[m] = counts
+    results = {m: asdict(_run_method(group, m, vec)[1]) for m in methods}
     return {
         "group": group.spec_string(),
         "order": group.order,

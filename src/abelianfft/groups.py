@@ -331,13 +331,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    @cached_property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.member_set
-
     def generators(self) -> tuple[int, ...]:
         """A small generating set of member indices, chosen greedily."""
         return self._generators

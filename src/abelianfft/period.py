@@ -15,14 +15,16 @@ draws from it; full two-register simulation is kept as a cross-check path for
 small groups.
 
 `find_period` builds every law once per recovery, before its first draw.  Exact
-mode has one, the label law.  Simulate mode builds the state, its value
-readings, the network and the value register's law up front, and the label law
-of a value's coset state the first time the value register reads that value:
-at most |G|/|K| laws.  A shot then only draws, a value and a label or just a
-label, and filters the surviving members of the candidate subgroup by the
-label's character phases, at O(survivors * rank).  Draws use one uniform each,
-as Generator.choice does, so the labels and the generator's final state are
-those of drawing with choice shot by shot.
+mode has one, the label law.  Simulate mode reads the function state as rows,
+one per value of the value register (its top qubits), each row the group
+register that value leaves.  It builds the state, the network and the value
+register's law, each row's probability, up front, and the label law of a
+value's coset state, its row normalised, the first time the value register
+reads that value: at most |G|/|K| laws.  A shot then only draws, a value and a
+label or just a label, and filters the surviving members of the candidate
+subgroup by the label's character phases, at O(survivors * rank).  Draws use
+one uniform each, as Generator.choice does, so the labels and the generator's
+final state are those of drawing with choice shot by shot.
 
 Sampling is only sound when the table is one-to-one on the cosets of its
 stabiliser K.  Then K is the preimage of f(0), so both modes take K as that
@@ -43,7 +45,7 @@ import numpy as np
 from .dense import apply_dense
 from .groups import AbelianGroup, Subgroup, _annihilated, annihilator
 from .qft_circuit import GateList, _run_network, compile_qft
-from .simulator import STATE_CAP, QState, _cdf, _collapse, _collapsed, _draw, _outcome_law
+from .simulator import STATE_CAP, QState, _cdf, _draw, _probabilities
 
 # Group order caps for the two sampling routes.
 EXACT_CAP = 4096
@@ -143,17 +145,16 @@ def _nondegenerate_stabilizer(f: FunctionTable) -> Subgroup:
     return preimage
 
 
-def _value_readings(f: FunctionTable, state: QState) -> np.ndarray:
-    # The value each basis index of the function state reads on its value register, the top qubits.
+def _value_rows(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
+    # The function state as one row per value of its value register, each row the group register
+    # that value leaves, and the value register's law: each row's probability, summed left to
+    # right as np.bincount sums it.
     group_bits, _ = _register_widths(f)
-    return np.arange(1 << state.n_qubits) >> group_bits
-
-
-def _group_register(f: FunctionTable, post: QState, observed: int) -> QState:
-    # The group register of the function state once its value register has read `observed`.
-    group_bits, _ = _register_widths(f)
-    offset = observed << group_bits
-    return QState(group_bits, post.amps[offset : offset + (1 << group_bits)])
+    state = build_function_state(f)
+    rows = state.amps.reshape(-1, 1 << group_bits)
+    law = np.cumsum(_probabilities(state.amps).reshape(rows.shape), axis=1)[:, -1]
+    law /= law.sum()
+    return rows, law
 
 
 def sample_coset_state(f: FunctionTable, rng: np.random.Generator) -> tuple[int, QState]:
@@ -163,10 +164,10 @@ def sample_coset_state(f: FunctionTable, rng: np.random.Generator) -> tuple[int,
     surviving state would not be a coset of the stabiliser.
     """
     _nondegenerate_stabilizer(f)
-    state = build_function_state(f)
-    _, value_bits = _register_widths(f)
-    observed, post = _collapse(state, _value_readings(f, state), value_bits, rng)
-    return observed, _group_register(f, post, observed)
+    rows, law = _value_rows(f)
+    observed = int(_draw(rng, _cdf(law)))
+    row = rows[observed]
+    return observed, QState(_register_widths(f)[0], row / np.linalg.norm(row))
 
 
 def _group_vector(state: QState | Sequence[complex] | np.ndarray, group: AbelianGroup) -> np.ndarray:
@@ -284,17 +285,15 @@ def _labels(f: FunctionTable, stabilizer: Subgroup, mode: str, rng: np.random.Ge
         cdf = _cdf(label_distribution(group, stabilizer))
         while True:
             yield int(_draw(rng, cdf))
-    state = build_function_state(f)
-    readings = _value_readings(f, state)
+    rows, value_law = _value_rows(f)
+    value_cdf = _cdf(value_law)
     network = _network(group)
-    _, value_bits = _register_widths(f)
-    value_cdf = _cdf(_outcome_law(state, readings, value_bits))
     label_cdfs: dict[int, np.ndarray] = {}
     while True:
         value = int(_draw(rng, value_cdf))
         if value not in label_cdfs:
-            register = _group_register(f, _collapsed(state, readings, value), value)
-            label_cdfs[value] = _cdf(_label_law(register, group, network))
+            row = rows[value]
+            label_cdfs[value] = _cdf(_label_law(row / np.linalg.norm(row), group, network))
         yield int(_draw(rng, label_cdfs[value]))
 
 

@@ -49,12 +49,9 @@ class GateList:
 
 def compile_qft(m: int, reorder_mode: str = "relabel") -> GateList:
     """Compile the transform network on m wires, at most the simulator's STATE_CAP."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"wire count {m!r} must be a positive integer")
+    gate_count(m, reorder_mode)  # checks m and the mode
     # Program refuses such a width; emission is quadratic in m, so refuse it first.
     _check_width(m)
-    if reorder_mode not in REORDER_MODES:
-        raise ValueError(f"reorder mode {reorder_mode!r} not in {REORDER_MODES}")
     # The network on fixed wires, innermost level first.  wire_of[x] is where the content of
     # fixed-network wire x currently lives.  Gates are emitted on the mapped wires; with deferred
     # reordering swaps only update the map.

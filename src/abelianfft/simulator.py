@@ -192,19 +192,17 @@ def cphase(control: int, target: int, exponent: int = 1) -> Gate:
     return Gate(matrix, (control, target), name="CPHASE", param=exponent)
 
 
-def _apply(
-    amps: np.ndarray, gate: Gate, targets: tuple[int, ...], workspace: np.ndarray | None = None
-) -> np.ndarray | None:
-    """Run the gate on the given wires of a writable amplitude buffer, in place.
+def _apply(amps: np.ndarray, gate: Gate, workspace: np.ndarray | None = None) -> np.ndarray | None:
+    """Run the gate on its wires of a writable amplitude buffer, in place.
 
     Returns the workspace of the raw 4x4 product (2 * amps.size entries), made here the first
     time a raw 4x4 gate needs one, so that a caller running many gates can pass it back in.
     """
-    view = _wire_view(amps, targets)
+    view = _wire_view(amps, gate.targets)
     kernel = _SHARED.get(id(gate.matrix), (None, None))[1]
     if kernel is not None:
         kernel(view)
-    elif len(targets) == 1:
+    elif len(gate.targets) == 1:
         _butterfly(view, gate.matrix)
     else:
         if workspace is None:
@@ -246,8 +244,7 @@ def _basis_amps(n_qubits: int, index: int) -> np.ndarray:
 
 def new_state(n_qubits: int) -> QState:
     """|0...0> on n qubits."""
-    _check_width(n_qubits)
-    return QState(n_qubits, _basis_amps(n_qubits, 0))
+    return basis_state(n_qubits, 0)
 
 
 def basis_state(n_qubits: int, index: int) -> QState:
@@ -262,30 +259,19 @@ def _check_target(state: QState, target: int) -> None:
         raise ValueError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
 
 
-def apply_1q(state: QState, gate: Gate, target: int | None = None) -> QState:
-    """Apply a one-qubit gate to a copy of the state, with the kernel `run_program` uses."""
+def apply_1q(state: QState, gate: Gate) -> QState:
+    """Apply a one-qubit gate to a copy of the state: a one-step `run_program`."""
     if gate.arity != 1:
         raise ValueError("apply_1q needs a 2x2 gate")
-    t = gate.targets[0] if target is None else int(target)
-    _check_target(state, t)
-    amps = state.amps.copy()
-    _apply(amps, gate, (t,))
-    return QState(state.n_qubits, amps)
+    return run_program(Program(state.n_qubits, (gate,)), state)
 
 
-def apply_2q(state: QState, gate: Gate, targets: tuple[int, int] | None = None) -> QState:
-    """Apply a two-qubit gate to a copy of the state; the first listed target is the more significant
-    bit of the 4x4 basis."""
+def apply_2q(state: QState, gate: Gate) -> QState:
+    """Apply a two-qubit gate to a copy of the state: a one-step `run_program`.  The first listed
+    target is the more significant bit of the 4x4 basis."""
     if gate.arity != 2:
         raise ValueError("apply_2q needs a 4x4 gate")
-    hi, lo = gate.targets if targets is None else (int(targets[0]), int(targets[1]))
-    _check_target(state, hi)
-    _check_target(state, lo)
-    if hi == lo:
-        raise ValueError(f"two-qubit gate targets ({hi}, {lo}) must be distinct")
-    amps = state.amps.copy()
-    _apply(amps, gate, (hi, lo))
-    return QState(state.n_qubits, amps)
+    return run_program(Program(state.n_qubits, (gate,)), state)
 
 
 @dataclass(frozen=True)
@@ -315,7 +301,7 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
         amps = initial.amps.copy()
     workspace = None
     for gate in program.steps:
-        workspace = _apply(amps, gate, gate.targets, workspace)
+        workspace = _apply(amps, gate, workspace)
     return QState(n, amps)
 
 
@@ -388,27 +374,12 @@ def collapse_register(state: QState, qubits: Iterable[int], rng: np.random.Gener
         raise ValueError("collapse_register needs at least one qubit")
     for q in qs:
         _check_target(state, q)
-    outcome, post = _collapse(state, _outcome_values(state.n_qubits, qs), len(qs), rng)
-    return format(outcome, f"0{len(qs)}b"), post
-
-
-def _outcome_law(state: QState, values: np.ndarray, width: int) -> np.ndarray:
-    # The law of a width-bit register that reads values[i] at basis index i.
-    law = np.bincount(values, weights=_probabilities(state.amps), minlength=1 << width)
+    values = _outcome_values(state.n_qubits, qs)
+    law = np.bincount(values, weights=_probabilities(state.amps), minlength=1 << len(qs))
     law /= law.sum()
-    return law
-
-
-def _collapsed(state: QState, values: np.ndarray, outcome: int) -> QState:
-    # The renormalised state left once that register has read the outcome.
+    outcome = int(_draw(rng, _cdf(law)))
     post = np.where(values == outcome, state.amps, 0.0)
-    return QState(state.n_qubits, post / np.linalg.norm(post))
-
-
-def _collapse(state: QState, values: np.ndarray, width: int, rng: np.random.Generator) -> tuple[int, QState]:
-    # Measure the register: the outcome and the collapsed state.
-    outcome = int(_draw(rng, _cdf(_outcome_law(state, values, width))))
-    return outcome, _collapsed(state, values, outcome)
+    return format(outcome, f"0{len(qs)}b"), QState(state.n_qubits, post / np.linalg.norm(post))
 
 
 def sample(state: QState, shots: int, rng: np.random.Generator) -> dict[str, int]:

@@ -207,6 +207,16 @@ def test_simulate_rejects_bad_program(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("measure", [[], ["--measure", "0"]], ids=["all", "qubit 0"])
+def test_simulate_refuses_negative_shots(tmp_path, capsys, measure):
+    # The simulate schema's shot count has minimum 0, so a negative one is a domain error.
+    source = tmp_path / "h.json"
+    source.write_text(json.dumps({"n": 1, "steps": [{"gate": "H", "targets": [0]}]}))
+    code, out, err = _run(capsys, "simulate", "--program", str(source), "--shots", "-5", *measure)
+    assert code == 1 and out == ""
+    assert err == "error: shot count -5 must not be negative\n"
+
+
 _RAW_NULL_ENTRY = {"n": 1, "steps": [{"matrix": [[[1, None], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
 _RAW_BOOLEAN_ENTRY = {"n": 1, "steps": [{"matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]], "targets": [0]}]}
 # json writes a NaN as the bare token NaN, which json.load reads back.

@@ -1,6 +1,7 @@
 """A mutation property over the JSON inputs of the command line: replacing any one node of a valid
-`fft`, `simulate` or `period-find` document with a hostile value either succeeds with output that
-validates against the subcommand's schema or fails with exit code 1 and one `error:` line."""
+`fft`, `simulate` or `period-find` document with a hostile value, or dropping one node below the
+root, either succeeds with output that validates against the subcommand's schema or fails with exit
+code 1 and one `error:` line."""
 from __future__ import annotations
 
 import io
@@ -11,7 +12,7 @@ from functools import lru_cache
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelianfft.cli import main
@@ -67,6 +68,9 @@ _HOSTILE = (
     {},
 )
 
+# Stands for dropping the node: its key from an object, or its element from a list.
+_DROP = type("Drop", (), {"__repr__": lambda self: "<drop>"})()
+
 
 def _paths(node, path=()):
     # Every node of the document, the root first, as the keys and indices that reach it.
@@ -80,7 +84,10 @@ def _replaced(node, path, value):
     if not path:
         return value
     copy = dict(node) if isinstance(node, dict) else list(node)
-    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    if len(path) == 1 and value is _DROP:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = _replaced(node[path[0]], path[1:], value)
     return copy
 
 
@@ -90,9 +97,11 @@ _MUTATIONS = [(command, path) for command, (_, _, doc, _) in _DOCUMENTS.items() 
 
 
 @_SETTINGS
-@given(st.sampled_from(_MUTATIONS), st.sampled_from(_HOSTILE))
+@given(st.sampled_from(_MUTATIONS), st.sampled_from(_HOSTILE + (_DROP,)))
 def test_one_mutated_node_is_a_result_or_one_error_line(tmp_path_factory, mutation, value):
     command, path = mutation
+    # The root has no parent to drop it from.
+    assume(path or value is not _DROP)
     argv, flag, document, schema = _DOCUMENTS[command]
     source = tmp_path_factory.getbasetemp() / "mutated.json"
     # json writes NaN and the infinities as bare tokens, which json.load reads back.

@@ -159,6 +159,45 @@ def test_sample_coset_state_rejects_degenerate():
         sample_coset_state(collide, np.random.default_rng(0))
 
 
+def _full_register_collapse(f, rng):
+    # The oracle: the value register read over the whole function state.  Its law is an np.bincount
+    # of every basis index's probability by the value it reads; the state is zeroed off the observed
+    # value and normalised whole, and the group register is that value's slice of it.
+    state = build_function_state(f)
+    group_bits = max(1, (f.group.order - 1).bit_length())
+    values = np.arange(1 << state.n_qubits) >> group_bits
+    probs = np.abs(state.amps)
+    probs *= probs
+    probs /= probs.sum()
+    law = np.bincount(values, weights=probs, minlength=1 << (state.n_qubits - group_bits))
+    law /= law.sum()
+    observed = int(rng.choice(len(law), p=law))
+    post = np.where(values == observed, state.amps, 0.0)
+    post = post / np.linalg.norm(post)
+    return observed, post[observed << group_bits : (observed + 1) << group_bits], law
+
+
+@pytest.mark.parametrize("moduli", [[16], [64], [12], [2] * 4, [8, 9, 5]], ids=str)
+def test_value_register_rows_equal_the_full_register_collapse(moduli):
+    # Reading the value register as rows of the function state gives the oracle's value law,
+    # observed values and coset-state amplitudes bit for bit, on planted tables.
+    group = make_group(moduli)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        generator = tuple(int(rng.integers(m)) for m in moduli)
+        cosets = coset_decompose(group, subgroup_from_generators(group, [generator]))
+        labels = rng.choice(2 * len(cosets.representatives) + 1, len(cosets.representatives), replace=False)
+        f = FunctionTable(group, tuple(labels[cosets.coset_of].tolist()))
+        _, law = period._value_rows(f)
+        ours, oracle = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        for _ in range(4):
+            value, register = sample_coset_state(f, ours)
+            want_value, want_amps, want_law = _full_register_collapse(f, oracle)
+            assert value == want_value
+            assert register.amps.tobytes() == want_amps.tobytes()
+        assert law.tobytes() == want_law.tobytes()
+
+
 def test_label_distribution_frozen():
     g = make_group([6])
     k = Subgroup(g, (0, 2, 4))
