@@ -20,8 +20,8 @@ from .simulator import (
     STATE_CAP,
     _cdf,
     _complex_from_json,
-    _draw,
     _is_int,
+    _tally,
     measure_qubit_distribution,
     program_from_json,
     program_to_json,
@@ -133,9 +133,8 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         dist = measure_qubit_distribution(state, int(args.measure))
         payload["distribution"] = {"0": dist[0], "1": dist[1]}
         if args.shots > 0:
-            draws = _draw(np.random.default_rng(args.seed), _cdf(np.array([dist[0], dist[1]])), args.shots)
-            ones = int(draws.sum())
-            payload["counts"] = {"0": args.shots - ones, "1": ones}
+            tally = _tally(np.random.default_rng(args.seed), _cdf(np.array([dist[0], dist[1]])), args.shots)
+            payload["counts"] = {"0": tally.get(0, 0), "1": tally.get(1, 0)}
     return payload
 
 

@@ -14,17 +14,22 @@ The default sampling mode computes that exact distribution classically and
 draws from it; full two-register simulation is kept as a cross-check path for
 small groups.
 
-`find_period` builds every law once per recovery, before its first draw.  Exact
-mode has one, the label law.  Simulate mode reads the function state as rows,
-one per value of the value register (its top qubits), each row the group
-register that value leaves.  It builds the state, the network and the value
-register's law, each row's probability, up front, and the label law of a
-value's coset state, its row normalised, the first time the value register
-reads that value: at most |G|/|K| laws.  A shot then only draws, a value and a
-label or just a label, and filters the surviving members of the candidate
-subgroup by the label's character phases, at O(survivors * rank).  Draws use
-one uniform each, as Generator.choice does, so the labels and the generator's
-final state are those of drawing with choice shot by shot.
+`find_period` draws labels in blocks.  At any point the loop will draw at least
+k = min(window - streak, shots left) more labels, whatever they turn out to be,
+so it draws exactly k at once, fewer only to keep candidate members times k
+within one block bound.  A draw takes one uniform, and a simulate-mode shot two,
+its value's and then its label's, so a block takes the uniforms the shots take
+one by one: the labels and the generator's final state are those of drawing
+with Generator.choice shot by shot.  One phase matrix of the candidate members
+against the block's labels, its rows and-accumulated along the block, gives the
+survivors after each label, hence the streak.  Every law is built once per
+recovery, before its first draw.  Exact mode has one, the label law.  Simulate
+mode reads the function state as rows, one per value of the value register (its
+top qubits), each row the group register that value leaves.  It builds the
+state, the network and the value register's law, each row's probability, up
+front, and the label laws of the values a block reads for the first time, their
+rows normalised, in one run over the stacked rows: at most |G|/|K| laws in all,
+each bit for bit the law of its row run alone.
 
 Sampling is only sound when the table is one-to-one on the cosets of its
 stabiliser K.  Then K is the preimage of f(0), so both modes take K as that
@@ -38,14 +43,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dense import apply_dense
-from .groups import AbelianGroup, Subgroup, _annihilated, annihilator
+from .groups import AbelianGroup, Subgroup, _annihilated, _phases, annihilator
 from .qft_circuit import GateList, _run_network, compile_qft
-from .simulator import STATE_CAP, QState, _cdf, _draw, _probabilities
+from .simulator import STATE_CAP, _DRAW_BLOCK, QState, _cdf, _draw, _is_int, _probabilities
 
 # Group order caps for the two sampling routes.
 EXACT_CAP = 4096
@@ -197,24 +202,32 @@ def fourier_sample(
     """Transform the group register and read it: a list of label indices."""
     if shots < 1:
         raise ValueError(f"shot count {shots} must be positive")
-    return _draw(rng, _cdf(_label_law(coset_state, group, _network(group))), shots).tolist()
+    law = _label_law(_group_vector(coset_state, group)[None], group, _network(group))[0]
+    return _draw(rng, _cdf(law), shots).tolist()
 
 
-def _label_law(
-    coset_state: QState | Sequence[complex] | np.ndarray, group: AbelianGroup, network: GateList | None
-) -> np.ndarray:
-    # The Born law of the transformed group register, by the network when there is one.
-    vec = _group_vector(coset_state, group)
-    norm = np.linalg.norm(vec)
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValueError(f"group register norm {norm!r} is not 1")
+def _label_law(rows: np.ndarray, group: AbelianGroup, network: GateList | None) -> np.ndarray:
+    # The Born law of the transformed group register for each row of a (B, |G|) array of states,
+    # by the network when there is one.  Row by row this is bit for bit the law of that row run
+    # alone: the network's kernels give each row of the stacked buffer the same arithmetic, the
+    # dense route transforms one row at a time (a matrix product would round differently), and
+    # each law is normalised by its own sum.
+    _check_unit_rows(rows, "group register")
     if network is not None:
-        spectrum = _run_network(network, QState(network.n_qubits, vec)).amps
+        spectra = _run_network(network, rows)
+        _check_unit_rows(spectra, "state")
     else:
-        spectrum = apply_dense(group, vec)
-    probs = np.abs(spectrum) ** 2
-    probs /= probs.sum()
+        spectra = np.stack([apply_dense(group, row) for row in rows])
+    probs = np.abs(spectra) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
     return probs
+
+
+def _check_unit_rows(rows: np.ndarray, what: str) -> None:
+    norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
+    if len(bad):
+        raise ValueError(f"{what} norm {norms[bad[0]]!r} is not 1")
 
 
 def label_distribution(group: AbelianGroup, stabilizer: Subgroup) -> np.ndarray:
@@ -252,49 +265,71 @@ def find_period(
     mode: str = "exact",
     window: int = CONFIRMATION_WINDOW,
 ) -> StabilizerResult:
-    """Sample labels one at a time until the reconstruction survives `window` consecutive samples.
+    """Sample labels until the reconstruction survives `window` consecutive samples unchanged.
 
     The result is flagged non-converged when the shot budget runs out first.
     """
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not in {MODES}")
-    if max_shots < 1:
-        raise ValueError(f"shot budget {max_shots} must be positive")
+    for what, count in (("shot budget", max_shots), ("window", window)):
+        if not _is_int(count) or count < 1:
+            raise ValueError(f"{what} {count!r} must be a positive integer")
     group = f.group
     _check_mode_order(group.order, mode)
-    draws = _labels(f, _nondegenerate_stabilizer(f), mode, rng)
+    draw = _label_draws(f, _nondegenerate_stabilizer(f), mode, rng)
     labels: list[int] = []
     # The members of the candidate subgroup, filtered by each label in turn.
     candidate = np.arange(group.order, dtype=np.int64)
     streak = 0
     while len(labels) < max_shots and streak < window:
-        label = next(draws)
-        labels.append(label)
-        survivors = _annihilated(group, (label,), candidate)
-        streak = streak + 1 if len(survivors) == len(candidate) else 0
-        candidate = survivors
+        # Whatever they turn out to be, at least this many more labels are drawn before the loop
+        # can stop; the block is further bounded so that the phase matrix below stays small.
+        k = min(window - streak, max_shots - len(labels), max(1, _DRAW_BLOCK // len(candidate)))
+        block = draw(k)
+        labels.extend(block.tolist())
+        # Column j: the candidate members that survive the block's labels up to j.
+        zero = _phases(group, group._coords(candidate), group._coords(block)) == 0
+        alive = np.logical_and.accumulate(zero, axis=1)
+        shrank = np.flatnonzero(np.diff(np.count_nonzero(alive, axis=0), prepend=len(candidate)))
+        streak = k - 1 - int(shrank[-1]) if len(shrank) else streak + k
+        candidate = candidate[alive[:, -1]]
     return StabilizerResult(Subgroup(group, candidate), len(labels), tuple(labels), streak >= window)
 
 
-def _labels(f: FunctionTable, stabilizer: Subgroup, mode: str, rng: np.random.Generator) -> Iterator[int]:
-    # Labels drawn one at a time, without end.  Each law is built once, before its first draw:
-    # exact mode has one; simulate mode has the value register's and, per value it reads, the law
-    # of the labels of the coset state that value leaves.
+def _label_draws(
+    f: FunctionTable, stabilizer: Subgroup, mode: str, rng: np.random.Generator
+) -> Callable[[int], np.ndarray]:
+    # A function drawing the next k labels.  Each draw takes one uniform, and in simulate mode a
+    # shot takes two, for its value and then its label, so the labels and the generator's state
+    # are those of drawing shot by shot.  Each law is built once, before its first draw: exact
+    # mode has one; simulate mode has the value register's and, per value it reads, the law of
+    # the labels of the coset state that value leaves, all of a block's new values in one run.
     group = f.group
     if mode == "exact":
         cdf = _cdf(label_distribution(group, stabilizer))
-        while True:
-            yield int(_draw(rng, cdf))
+        return lambda k: _draw(rng, cdf, k)
     rows, value_law = _value_rows(f)
     value_cdf = _cdf(value_law)
     network = _network(group)
     label_cdfs: dict[int, np.ndarray] = {}
-    while True:
-        value = int(_draw(rng, value_cdf))
-        if value not in label_cdfs:
-            row = rows[value]
-            label_cdfs[value] = _cdf(_label_law(row / np.linalg.norm(row), group, network))
-        yield int(_draw(rng, label_cdfs[value]))
+
+    def draw(k: int) -> np.ndarray:
+        uniforms = rng.random(2 * k)
+        values = value_cdf.searchsorted(uniforms[0::2], side="right")
+        # A block's distinct values in order of first reading: np.unique's hash path imports numpy.ma.
+        read = list(dict.fromkeys(values.tolist()))
+        new = [v for v in read if v not in label_cdfs]
+        if new:
+            states = np.stack([_group_vector(rows[v] / np.linalg.norm(rows[v]), group) for v in new])
+            for v, law in zip(new, _label_law(states, group, network)):
+                label_cdfs[v] = _cdf(law)
+        labels = np.empty(k, dtype=np.intp)
+        for v in read:
+            at = values == v
+            labels[at] = label_cdfs[v].searchsorted(uniforms[1::2][at], side="right")
+        return labels
+
+    return draw
 
 
 def two_to_one_table(n: int, mask: int, rng: np.random.Generator) -> FunctionTable:

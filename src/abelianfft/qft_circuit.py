@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .simulator import Gate, Program, QState, _check_width, cphase, hadamard, run_program, swap_gate
+import numpy as np
+
+from .simulator import Gate, Program, QState, _check_width, _run_gates, cphase, hadamard, run_program, swap_gate
 
 REORDER_MODES = ("swaps", "relabel")
 
@@ -88,16 +90,28 @@ def apply_wire_permutation(state: QState, permutation: tuple[int, ...]) -> QStat
     n = state.n_qubits
     if sorted(permutation) != list(range(n)):
         raise ValueError(f"{permutation!r} is not a permutation of 0..{n - 1}")
-    # Axis n-1-w of the (2,)*n tensor holds wire w, so output axis n-1-x is input axis n-1-permutation[x].
-    axes = [n - 1 - permutation[n - 1 - k] for k in range(n)]
-    return QState(n, state.amps.reshape((2,) * n).transpose(axes).flatten())
+    return QState(n, _permuted(state.amps[None], permutation)[0].flatten())
+
+
+def _permuted(rows: np.ndarray, permutation: tuple[int, ...]) -> np.ndarray:
+    # A view of each row of a (B, 2^n) array with its wires reordered, shape (B,) + (2,) * n.  Axis
+    # n-1-w of a row's (2,)*n tensor holds wire w, so output axis n-1-x is input axis
+    # n-1-permutation[x].
+    n = len(permutation)
+    axes = [n - permutation[n - 1 - k] for k in range(n)]
+    return rows.reshape((len(rows),) + (2,) * n).transpose([0] + axes)
 
 
 def apply_qft(state: QState) -> QState:
     """Run the compiled network on the state and undo the deferred wire relabelling."""
-    return _run_network(compile_qft(state.n_qubits, "relabel"), state)
-
-
-def _run_network(compiled: GateList, state: QState) -> QState:
-    # apply_qft for a network compiled once for many states of its width.
+    compiled = compile_qft(state.n_qubits, "relabel")
     return apply_wire_permutation(run_program(compiled.to_program(), state), compiled.final_permutation)
+
+
+def _run_network(compiled: GateList, rows: np.ndarray) -> np.ndarray:
+    # apply_qft on every row of a (B, 2^n) array, for a network compiled once for many states of
+    # its width: the gates run once over the stacked rows, each row getting the arithmetic a run
+    # on its own gives it.  Rows are not checked for unit norm.
+    amps = np.array(rows, dtype=np.complex128)
+    _run_gates(amps.reshape(-1), compiled.gates)
+    return _permuted(amps, compiled.final_permutation).reshape(amps.shape)

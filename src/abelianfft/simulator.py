@@ -43,6 +43,10 @@ UNITARY_TOL = 1e-10
 # temporaries (128 KiB each) stay in cache: at 24 qubits this runs an H twice as fast as 2^16.
 _BLOCK = 1 << 13
 
+# Largest number of entries one block of draws holds: shots in `sample`, candidate members times
+# labels in period.find_period.  Consecutive rng.random calls give the uniforms one call would.
+_DRAW_BLOCK = 1 << 16
+
 
 def _blocks(shape: tuple[int, ...]) -> Iterator[tuple]:
     """Index tuples that cover an array of this shape in pieces of at most _BLOCK entries."""
@@ -299,10 +303,17 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
         raise ValueError(f"initial state has {initial.n_qubits} qubits, program needs {n}")
     else:
         amps = initial.amps.copy()
-    workspace = None
-    for gate in program.steps:
-        workspace = _apply(amps, gate, workspace)
+    _run_gates(amps, program.steps)
     return QState(n, amps)
+
+
+def _run_gates(amps: np.ndarray, gates: Iterable[Gate]) -> None:
+    """Run the gates in order on a writable amplitude buffer, in place, all raw 4x4 gates sharing
+    one workspace.  A buffer of B stacked 2^n-amplitude states runs each of them: every kernel
+    works on its target bits alone, with the same arithmetic on each amplitude."""
+    workspace = None
+    for gate in gates:
+        workspace = _apply(amps, gate, workspace)
 
 
 # Generator.choice accepts a law whose sum is this far from 1.
@@ -386,10 +397,30 @@ def sample(state: QState, shots: int, rng: np.random.Generator) -> dict[str, int
     """Draw shots full-register outcomes; returns only the outcomes that occurred."""
     if shots < 1:
         raise ValueError(f"shot count {shots} must be positive")
-    draws = _draw(rng, _cdf(_probabilities(state.amps)), shots)
-    outcomes, counts = np.unique(draws, return_counts=True)
+    tally = _tally(rng, _cdf(_probabilities(state.amps)), shots)
     n = state.n_qubits
-    return {format(i, f"0{n}b"): c for i, c in zip(outcomes.tolist(), counts.tolist())}
+    return {format(i, f"0{n}b"): c for i, c in tally.items()}
+
+
+def _tally(rng: np.random.Generator, cdf: np.ndarray, shots: int) -> dict[int, int]:
+    """How often each outcome occurred in shots draws from the law whose _cdf is given, in
+    ascending order of outcome.  Draws run in blocks of at most _DRAW_BLOCK, each counted and
+    merged into the running counts, so memory follows the block and the outcomes seen, not the
+    shots."""
+    outcomes = np.empty(0, dtype=np.intp)
+    counts = np.empty(0, dtype=np.int64)
+    for start in range(0, shots, _DRAW_BLOCK):
+        draws = np.sort(_draw(rng, cdf, min(_DRAW_BLOCK, shots - start)))
+        # Runs of equal draws by neighbour compare: np.unique's hash path imports numpy.ma.
+        firsts = np.flatnonzero(np.concatenate(([True], draws[1:] != draws[:-1])))
+        seen, times = draws[firsts], np.diff(firsts, append=len(draws))
+        at = outcomes.searchsorted(seen)
+        known = at < len(outcomes)
+        known[known] = outcomes[at[known]] == seen[known]
+        counts[at[known]] += times[known]
+        outcomes = np.insert(outcomes, at[~known], seen[~known])
+        counts = np.insert(counts, at[~known], times[~known])
+    return dict(zip(outcomes.tolist(), counts.tolist()))
 
 
 def _complex_from_json(entry: object) -> complex:
@@ -417,7 +448,7 @@ _NAMED_BUILDERS = {
 
 
 def _is_int(value: object) -> bool:
-    # JSON true and false load as bool, a subclass of int.
+    # A Python int, not a bool: bool is a subclass of int, and JSON true and false load as bool.
     return isinstance(value, int) and not isinstance(value, bool)
 
 

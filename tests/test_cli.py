@@ -200,6 +200,49 @@ def test_simulate_output_pinned(tmp_path, capsys):
     assert len(payload["distribution"]) == 64 and sum(payload["counts"].values()) == 1000
 
 
+_THREE_QUBITS = {
+    "n": 3,
+    "steps": [
+        {"gate": "H", "targets": [0]},
+        {"gate": "H", "targets": [1]},
+        {"gate": "CPHASE", "targets": [1, 0], "param": 2},
+        {"gate": "H", "targets": [1]},
+        {"gate": "CNOT", "targets": [1, 2]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "measure, counts",
+    [
+        ("all", {"000": 75196, "001": 37395, "111": 37409}),
+        ("1", {"0": 112591, "1": 37409}),
+        ("2", {"0": 112591, "1": 37409}),
+    ],
+)
+def test_simulate_counts_pinned_across_draw_blocks(tmp_path, capsys, measure, counts):
+    # Recorded when all 150,000 shots were drawn in one call; they now take three blocks.
+    source = tmp_path / "three.json"
+    source.write_text(json.dumps(_THREE_QUBITS))
+    argv = ("simulate", "--program", str(source), "--shots", "150000", "--measure", measure, "--seed", "9")
+    assert _run_json(capsys, *argv)["counts"] == counts
+
+
+@pytest.mark.parametrize("measure", ["all", "0"])
+def test_simulate_shot_memory_follows_the_draw_block(tmp_path, capsys, measure):
+    # Drawing 4,000,000 shots at once peaked at 61-69 MiB; blocks of draws keep far below a quarter of it.
+    source = tmp_path / "h.json"
+    source.write_text(json.dumps({"n": 1, "steps": [{"gate": "H", "targets": [0]}]}))
+    tracemalloc.start()
+    try:
+        payload = _run_json(capsys, "simulate", "--program", str(source), "--shots", "4000000", "--measure", measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(payload["counts"].values()) == 4_000_000
+    assert peak < 61 * 2**20 / 4, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_simulate_rejects_bad_program(tmp_path, capsys):
     source = tmp_path / "bad.json"
     source.write_text(json.dumps({"n": 1, "steps": [{"gate": "CNOT", "targets": [0, 1]}]}))

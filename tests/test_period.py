@@ -5,12 +5,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelianfft import (
     FunctionTable,
+    QState,
     Subgroup,
     annihilator,
     apply_dense,
+    apply_wire_permutation,
     build_function_state,
     character_phase,
     check_nondegenerate,
@@ -21,13 +25,14 @@ from abelianfft import (
     label_distribution,
     make_group,
     reconstruct_subgroup,
+    run_program,
     sample_coset_state,
     stabilizer_bruteforce,
     subgroup_from_generators,
     two_to_one_table,
 )
 from abelianfft import dense, period, simulator
-from abelianfft.groups import trivial_subgroup
+from abelianfft.groups import _annihilated, trivial_subgroup
 from abelianfft.period import EXACT_CAP, SIMULATE_CAP
 
 from testutil import abelian_group_types
@@ -512,20 +517,134 @@ def test_recovery_labels_and_generator_state_pinned(mode, moduli, generators, se
 
 
 def test_find_period_simulate_runs_the_network_once_per_value(monkeypatch):
-    # A value's label law is built the first time the value register reads it, then reused: every
-    # network run starts from a coset state no earlier run started from.
+    # A value's label law is built the first time the value register reads it, then reused, the
+    # laws of a block's new values in one network run over their stacked rows: every row run is a
+    # coset state no earlier row started from.
     starts = []
     inner = period._run_network
 
-    def recording(network, state):
-        starts.append(state.amps.tobytes())
-        return inner(network, state)
+    def recording(network, rows):
+        starts.extend(row.tobytes() for row in rows)
+        return inner(network, rows)
 
     monkeypatch.setattr(period, "_run_network", recording)
     f, planted = _planted_table([64], [(8,)])
     result = find_period(f, 200, np.random.default_rng(8), mode="simulate", window=30)
     assert result.converged and result.subgroup.members == planted.members
     assert 0 < len(starts) == len(set(starts)) <= 64 // 8 < result.samples_used
+
+
+def _one_label_recovery(f, max_shots, rng, mode, window):
+    # find_period as it ran before block draws, kept as the oracle of the block loop: one label per
+    # step, drawn with one uniform (a value's, then the label's, in simulate mode), each value's
+    # law built from its row alone the first time it is read, and the candidate filtered by one
+    # label at a time.  Returns the labels, whether it converged and the candidate's members.
+    group = f.group
+    stabilizer = period._nondegenerate_stabilizer(f)
+
+    def labels():
+        if mode == "exact":
+            cdf = simulator._cdf(label_distribution(group, stabilizer))
+            while True:
+                yield int(simulator._draw(rng, cdf))
+        rows, value_law = period._value_rows(f)
+        value_cdf = simulator._cdf(value_law)
+        network = period._network(group)
+        label_cdfs = {}
+        while True:
+            value = int(simulator._draw(rng, value_cdf))
+            if value not in label_cdfs:
+                row = period._group_vector(rows[value] / np.linalg.norm(rows[value]), group)
+                label_cdfs[value] = simulator._cdf(period._label_law(row[None], group, network)[0])
+            yield int(simulator._draw(rng, label_cdfs[value]))
+
+    draws = labels()
+    seen = []
+    candidate = np.arange(group.order, dtype=np.int64)
+    streak = 0
+    while len(seen) < max_shots and streak < window:
+        label = next(draws)
+        seen.append(label)
+        survivors = _annihilated(group, (label,), candidate)
+        streak = streak + 1 if len(survivors) == len(candidate) else 0
+        candidate = survivors
+    return tuple(seen), streak >= window, tuple(candidate.tolist())
+
+
+_RECOVERY_SHAPES = ([1024], [2] * 8, [8, 9, 5], [7, 7], [12], [16], [64])
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(_RECOVERY_SHAPES),
+    picks=st.lists(st.integers(0, 2**31), max_size=2),
+    simulate=st.booleans(),
+    window=st.integers(1, 30),
+    max_shots=st.integers(1, 90),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_recovery_equals_the_one_label_loop(shape, picks, simulate, window, max_shots, seed):
+    # Planted stabilisers on both modes, Z12 taking the dense simulate route and Z16 and Z64 the
+    # network; budgets below 90 often end in the middle of a block.
+    group = make_group(shape)
+    mode = "simulate" if simulate and group.order <= SIMULATE_CAP else "exact"
+    f, _ = _planted_table(shape, [group.coords_of(pick % group.order) for pick in picks])
+    block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    result = find_period(f, max_shots, block_rng, mode=mode, window=window)
+    labels, converged, members = _one_label_recovery(f, max_shots, loop_rng, mode, window)
+    assert result.labels_seen == labels and result.samples_used == len(labels)
+    assert result.converged == converged and result.subgroup.members == members
+    assert block_rng.random() == loop_rng.random()
+
+
+@pytest.mark.parametrize(
+    "moduli, generators",
+    [([256], [(32,)]), ([2] * 8, [(1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0, 0, 1)]), ([12, 2], [(3, 1)])],
+    ids=["Z256", "Z2^8", "Z12xZ2"],
+)
+def test_batched_label_laws_equal_the_per_row_laws_bit_for_bit(moduli, generators):
+    # Every coset row of the function state, run in one batch, against each row run on its own:
+    # through run_program and apply_wire_permutation on the network route (Z256), through one
+    # apply_dense on the dense route (Z2^8, Z12xZ2), each law normalised by its own sum.
+    f, planted = _planted_table(moduli, generators)
+    group = f.group
+    rows, value_law = period._value_rows(f)
+    read = np.flatnonzero(value_law)
+    assert len(read) == group.order // planted.order
+    states = np.stack([period._group_vector(rows[v] / np.linalg.norm(rows[v]), group) for v in read])
+    network = period._network(group)
+    assert (network is not None) == (moduli == [256])
+    batched = period._label_law(states, group, network)
+    for state, law in zip(states, batched):
+        if network is None:
+            spectrum = apply_dense(group, state)
+        else:
+            ran = run_program(network.to_program(), QState(network.n_qubits, state))
+            spectrum = apply_wire_permutation(ran, network.final_permutation).amps
+        alone = np.abs(spectrum) ** 2
+        alone /= alone.sum()
+        assert law.tobytes() == alone.tobytes()
+        assert law.tobytes() == period._label_law(state[None], group, network)[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "keyword, value",
+    [
+        ("window", 0),
+        ("window", -5),
+        ("window", 2.5),
+        ("window", True),
+        ("max_shots", 2.5),
+        ("max_shots", True),
+        ("max_shots", 0),
+    ],
+)
+def test_find_period_refuses_counts_that_are_not_positive_integers(keyword, value):
+    # A window of 0 or below used to report convergence after no sample, with the whole group as
+    # the stabiliser; floats and bools were taken as counts.
+    counts = {"max_shots": 50, "window": 10, keyword: value}
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        find_period(_mod_table(12, 3), counts["max_shots"], np.random.default_rng(0), window=counts["window"])
 
 
 def test_find_period_validation():

@@ -272,6 +272,36 @@ def test_sample_only_reports_occurring_outcomes():
     assert counts == {"11": 50}
 
 
+@pytest.mark.parametrize(
+    "shots, seed, expected",
+    [
+        (65536, 4, {"000": 16423, "001": 8101, "011": 8124, "100": 13978, "101": 2362, "110": 2443, "111": 14105}),
+        (65537, 5, {"000": 16400, "001": 8102, "011": 8271, "100": 14063, "101": 2432, "110": 2279, "111": 13990}),
+        (150001, 6, {"000": 37582, "001": 18858, "011": 18598, "100": 32069, "101": 5440, "110": 5544, "111": 31910}),
+    ],
+)
+def test_sample_counts_pinned_across_draw_blocks(shots, seed, expected):
+    # Recorded when every shot was drawn in one call: one block, one block and a shot, three blocks.
+    state = run_program(
+        Program(3, (hadamard(0), hadamard(1), hadamard(2), cphase(0, 1, 2), cphase(1, 2, 3), hadamard(1)))
+    )
+    counts = sample(state, shots, np.random.default_rng(seed))
+    assert counts == expected and list(counts) == sorted(expected)
+
+
+def test_sample_memory_follows_the_draw_block_not_the_shots():
+    # Drawing 4,000,000 shots at once peaked at 69 MiB; blocks of draws keep far below a quarter of it.
+    state = QState(1, np.array([0.6, 0.8]))
+    tracemalloc.start()
+    try:
+        counts = sample(state, 4_000_000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 4_000_000 and set(counts) == {"0", "1"}
+    assert peak < 69 * 2**20 / 4, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_measurement_is_pure_function():
     state = run_program(Program(2, (hadamard(0),)))
     before = state.amps.copy()
