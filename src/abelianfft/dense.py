@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, Coords, _element_coords, _phases, character_phases
+from .groups import AbelianGroup, Coords, _characters, _element_coords, character_phases
 
 # Largest group order for which the full transform matrix is materialised.
 DENSE_CAP = 4096
@@ -39,8 +39,7 @@ def _as_vector(f: Sequence[complex] | np.ndarray, length: int) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _cached_entries(moduli: Coords) -> np.ndarray:
     group = AbelianGroup(moduli)
-    phases = _phases(group, group.coords_table, group.coords_table)
-    entries = np.exp((2j * np.pi / group.lcm) * phases) / sqrt(group.order)
+    entries = _characters(group, group.coords_table, group.coords_table) / sqrt(group.order)
     entries.setflags(write=False)
     return entries
 
@@ -66,8 +65,7 @@ def apply_dense(group: AbelianGroup, f: Sequence[complex] | np.ndarray) -> np.nd
     scale = 1.0 / sqrt(group.order)
     for start in range(0, group.order, block):
         rows = np.arange(start, min(start + block, group.order))
-        phases = _phases(group, group.coords_table[rows], group.coords_table)
-        out[rows] = (np.exp((2j * np.pi / group.lcm) * phases) @ vec) * scale
+        out[rows] = (_characters(group, group.coords_table[rows], group.coords_table) @ vec) * scale
     return out
 
 

@@ -14,9 +14,9 @@ from .groups import (
     AbelianGroup,
     Subgroup,
     _annihilated,
+    _characters,
     _element_order,
     _orbit_min,
-    _phases,
     character_phases,
     make_group,
 )
@@ -55,8 +55,6 @@ class SubgroupTower:
                 raise ValueError(f"tower level {depth} belongs to a different group")
             if level.order >= previous_order:
                 raise ValueError(f"tower level {depth} does not shrink: {level.order} >= {previous_order}")
-            if previous_order % level.order != 0:
-                raise ValueError(f"tower level {depth} order {level.order} does not divide {previous_order}")
             if previous is not None:
                 found = previous[np.minimum(np.searchsorted(previous, level._indices), len(previous) - 1)]
                 if not np.array_equal(found, level._indices):
@@ -109,12 +107,6 @@ def predict_cost(order: int, suborder: int) -> int:
     if order % suborder != 0:
         raise ValueError(f"subgroup order {suborder} does not divide group order {order}")
     return order * (suborder + order // suborder)
-
-
-def _char_matrix(group: AbelianGroup, labels: np.ndarray, args: np.ndarray) -> np.ndarray:
-    # chi_label(arg) for each label row and arg column, from exact integer phases.
-    phases = _phases(group, group._coords(labels), group._coords(args))
-    return np.exp((2j * np.pi / group.lcm) * phases)
 
 
 class _TowerPlan:
@@ -171,13 +163,13 @@ class _TowerPlan:
             is_least = least == np.arange(len(labels))
             child = (np.cumsum(is_least) - 1)[least]
             self.reps.append(reps)
-            self.twiddles.append(_char_matrix(group, labels, reps))
+            self.twiddles.append(_characters(group, group._coords(labels), group._coords(reps)))
             self.child_class.append(child)
             shifts = group.translate(shifts[:, None], reps[None, :]).reshape(-1)
             above, labels, class_of = level._indices, labels[is_least], child[class_of]
 
         self.base_gather = group.translate(shifts[:, None], above[None, :])
-        self.base_table = _char_matrix(group, labels, above)
+        self.base_table = _characters(group, group._coords(labels), group._coords(above))
 
 
 # Upper bound on the entries of the (node, class, rep) block the upward pass combines at once.

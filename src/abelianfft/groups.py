@@ -143,11 +143,14 @@ class AbelianGroup:
         return idx
 
     def _coords(self, idx: np.ndarray) -> np.ndarray:
-        # Rows of coords_table for checked indices.  A cyclic group's table is the identity, so its
-        # indices are their own coordinates and no table is built, whatever the order.
+        # Coordinates of checked indices.  A cyclic group's indices are their own coordinates.  A
+        # request smaller than the group reads its digits by division unless coords_table is built
+        # (a gather is faster), so a few elements need no table, whatever the order.
         if self.rank == 1:
             return idx.astype(self._coord_dtype)[..., None]
-        return self.coords_table.take(idx, axis=0)
+        if "coords_table" in vars(self) or idx.size * self.rank >= self.order:
+            return self.coords_table.take(idx, axis=0)
+        return (idx[..., None] // np.array(self.weights) % self.moduli).astype(self._coord_dtype)
 
     def translate(self, indices: Indices, shift: Indices) -> np.ndarray:
         """Indices of the sums indices + shift, elementwise with numpy broadcasting.
@@ -255,6 +258,11 @@ def _phases(group: AbelianGroup, args: np.ndarray, labels: Sequence[int] | np.nd
     return np.remainder(args @ weighted.T, group.lcm).astype(np.int64, copy=False)
 
 
+def _characters(group: AbelianGroup, args: np.ndarray, labels: Sequence[int] | np.ndarray) -> np.ndarray:
+    # The character values exp(2 pi i p / lcm) of the _phases numerators p, in the same layout.
+    return np.exp((2j * np.pi / group.lcm) * _phases(group, args, labels))
+
+
 def character_phases(
     group: AbelianGroup, label: int | Sequence[int], elements: Indices | None = None
 ) -> np.ndarray:
@@ -301,18 +309,13 @@ class Subgroup:
     _indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.members)
+        idx = self.parent._checked(self.members)
         if not idx.size:
             raise ValueError("a subgroup cannot be empty")
-        if idx.dtype.kind not in "iu":
-            raise ValueError(f"member indices must be integers, got dtype {idx.dtype}")
         # Sort and drop repeats.  np.unique would take its hash path here, which imports numpy.ma
         # and costs every process about 1.6 MB of resident memory.
-        idx = np.sort(idx.astype(np.int64))
+        idx = np.sort(idx)
         idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
-        for i in (idx[0], idx[-1]):
-            if not 0 <= i < self.parent.order:
-                raise ValueError(f"member index {i} out of range for group of order {self.parent.order}")
         if idx[0] != 0:
             raise ValueError("a subgroup must contain the identity element 0")
         # A finite set closed under addition is a subgroup.  The closure of the greedy generators
@@ -426,10 +429,8 @@ def coset_decompose(group: AbelianGroup, subgroup: Subgroup) -> CosetDecompositi
         rep = _orbit_min(rep, group.translate(elements, gen), _element_order(group, gen))
     representatives, coset_of = np.unique(rep, return_inverse=True)
     offsets = group.translate(elements, group.negate(rep))
-    members = subgroup._indices
-    slot_of = np.minimum(np.searchsorted(members, offsets), len(members) - 1)
-    if len(representatives) * len(members) != group.order or not np.array_equal(members[slot_of], offsets):
-        raise ValueError("coset overlap: member set is not a subgroup")
+    # The cosets of a subgroup partition the group, so every offset is a member.
+    slot_of = np.searchsorted(subgroup._indices, offsets)
     coset_of.setflags(write=False)
     slot_of.setflags(write=False)
     return CosetDecomposition(group, subgroup, tuple(representatives.tolist()), coset_of, slot_of)

@@ -276,7 +276,8 @@ def find_period(
             raise ValueError(f"{what} {count!r} must be a positive integer")
     group = f.group
     _check_mode_order(group.order, mode)
-    draw = _label_draws(f, _nondegenerate_stabilizer(f), mode, rng)
+    stabilizer = _nondegenerate_stabilizer(f)
+    draw = _label_draws(f, stabilizer, mode, rng)
     labels: list[int] = []
     # The members of the candidate subgroup, filtered by each label in turn.
     candidate = np.arange(group.order, dtype=np.int64)
@@ -293,7 +294,9 @@ def find_period(
         shrank = np.flatnonzero(np.diff(np.count_nonzero(alive, axis=0), prepend=len(candidate)))
         streak = k - 1 - int(shrank[-1]) if len(shrank) else streak + k
         candidate = candidate[alive[:, -1]]
-    return StabilizerResult(Subgroup(group, candidate), len(labels), tuple(labels), streak >= window)
+    # A correct recovery is the stabiliser, already checked; anything else is checked here.
+    subgroup = stabilizer if np.array_equal(candidate, stabilizer._indices) else Subgroup(group, candidate)
+    return StabilizerResult(subgroup, len(labels), tuple(labels), streak >= window)
 
 
 def _label_draws(

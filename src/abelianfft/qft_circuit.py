@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import Gate, Program, QState, _check_width, _run_gates, cphase, hadamard, run_program, swap_gate
+from .simulator import Gate, Program, QState, _check_width, _run_gates, cphase, hadamard, swap_gate
 
 REORDER_MODES = ("swaps", "relabel")
 
@@ -103,15 +103,15 @@ def _permuted(rows: np.ndarray, permutation: tuple[int, ...]) -> np.ndarray:
 
 
 def apply_qft(state: QState) -> QState:
-    """Run the compiled network on the state and undo the deferred wire relabelling."""
-    compiled = compile_qft(state.n_qubits, "relabel")
-    return apply_wire_permutation(run_program(compiled.to_program(), state), compiled.final_permutation)
+    """Run the compiled network on a copy of the state and undo the deferred wire relabelling: the
+    one-row case of _run_network, with the unit norm checked once, on the result."""
+    return QState(state.n_qubits, _run_network(compile_qft(state.n_qubits), state.amps[None])[0])
 
 
 def _run_network(compiled: GateList, rows: np.ndarray) -> np.ndarray:
-    # apply_qft on every row of a (B, 2^n) array, for a network compiled once for many states of
-    # its width: the gates run once over the stacked rows, each row getting the arithmetic a run
-    # on its own gives it.  Rows are not checked for unit norm.
+    # The transform of every row of a (B, 2^n) array, as a new array: the compiled gates run once
+    # over a copy of the stacked rows, each row getting the arithmetic a run on its own gives it,
+    # then each row's wires are reordered.  Rows are not checked for unit norm.
     amps = np.array(rows, dtype=np.complex128)
     _run_gates(amps.reshape(-1), compiled.gates)
     return _permuted(amps, compiled.final_permutation).reshape(amps.shape)

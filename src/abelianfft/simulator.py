@@ -196,25 +196,6 @@ def cphase(control: int, target: int, exponent: int = 1) -> Gate:
     return Gate(matrix, (control, target), name="CPHASE", param=exponent)
 
 
-def _apply(amps: np.ndarray, gate: Gate, workspace: np.ndarray | None = None) -> np.ndarray | None:
-    """Run the gate on its wires of a writable amplitude buffer, in place.
-
-    Returns the workspace of the raw 4x4 product (2 * amps.size entries), made here the first
-    time a raw 4x4 gate needs one, so that a caller running many gates can pass it back in.
-    """
-    view = _wire_view(amps, gate.targets)
-    kernel = _SHARED.get(id(gate.matrix), (None, None))[1]
-    if kernel is not None:
-        kernel(view)
-    elif len(gate.targets) == 1:
-        _butterfly(view, gate.matrix)
-    else:
-        if workspace is None:
-            workspace = np.empty(2 * amps.size, dtype=np.complex128)
-        _product(view, gate.matrix, workspace)
-    return workspace
-
-
 def _check_width(n_qubits: int) -> None:
     # Run before anything state-sized is allocated.
     if not 1 <= n_qubits <= STATE_CAP:
@@ -308,12 +289,22 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
 
 
 def _run_gates(amps: np.ndarray, gates: Iterable[Gate]) -> None:
-    """Run the gates in order on a writable amplitude buffer, in place, all raw 4x4 gates sharing
-    one workspace.  A buffer of B stacked 2^n-amplitude states runs each of them: every kernel
-    works on its target bits alone, with the same arithmetic on each amplitude."""
+    """Run the gates in order on a writable amplitude buffer, in place: named gates by their own
+    kernels, other 2x2 gates by the blocked butterfly, raw 4x4 gates by the product into one
+    workspace made at the first of them.  B stacked 2^n-amplitude states each run as they would
+    alone: every kernel works on its target bits only, with the same arithmetic on each amplitude."""
     workspace = None
     for gate in gates:
-        workspace = _apply(amps, gate, workspace)
+        view = _wire_view(amps, gate.targets)
+        kernel = _SHARED.get(id(gate.matrix), (None, None))[1]
+        if kernel is not None:
+            kernel(view)
+        elif len(gate.targets) == 1:
+            _butterfly(view, gate.matrix)
+        else:
+            if workspace is None:
+                workspace = np.empty(2 * amps.size, dtype=np.complex128)
+            _product(view, gate.matrix, workspace)
 
 
 # Generator.choice accepts a law whose sum is this far from 1.

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,27 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_module_entry_point_exit_codes():
+    # `python -m abelianfft.cli` runs cli.run, as the installed console script does.
+    source = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH")))))
+
+    def run(*argv):
+        command = [sys.executable, "-m", "abelianfft.cli", *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+    version = run("--version")
+    assert version.returncode == 0 and version.stdout.startswith("abelianfft ")
+    compiled = run("qft-compile", "--m", "3")
+    assert compiled.returncode == 0 and compiled.stderr == ""
+    _validator("qft-compile.schema.json").validate(json.loads(compiled.stdout))
+    refused = run("qft-compile", "--m", "0")
+    assert refused.returncode == 1 and refused.stdout == ""
+    assert refused.stderr.startswith("error: ") and refused.stderr.count("\n") == 1
+    usage = run("qft-compile")
+    assert usage.returncode == 2 and usage.stdout == ""
 
 
 def test_simulate_bell_program(tmp_path, capsys):

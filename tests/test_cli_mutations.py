@@ -1,7 +1,8 @@
-"""A mutation property over the JSON inputs of the command line: replacing any one node of a valid
+"""Mutation properties over the inputs of the command line.  Replacing any one node of a valid
 `fft`, `simulate` or `period-find` document with a hostile value, or dropping one node below the
 root, either succeeds with output that validates against the subcommand's schema or fails with exit
-code 1 and one `error:` line."""
+code 1 and one `error:` line.  Any choice of hostile or valid values for the flags of `qft-compile`,
+`simon` and `bench` does the same, or is a usage error with exit code 2."""
 from __future__ import annotations
 
 import io
@@ -115,3 +116,66 @@ def test_one_mutated_node_is_a_result_or_one_error_line(tmp_path_factory, mutati
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     else:
         _schema_validator(schema).validate(json.loads(out))
+
+
+# Hostile values any flag may get; each flag's own list adds valid and malformed values.  Every
+# accepted input stays cheap: orders of at most 64, simon at n <= 3, and Z2^40 refused before
+# anything of its order is allocated.
+_NUMBERS = (-1, 0, 1, 25, 10**6, 2**64, "junk", "", "1.5", "0x10")
+
+# Per subcommand: its output schema and, per flag, the value of a valid call (None: the flag is
+# left out) and the other values it may get.
+_FLAGS = {
+    "qft-compile": (
+        "qft-compile.schema.json",
+        {"--m": (3, ()), "--reorder": (None, ("swaps", "relabel", "junk")), "--emit": (None, ("json", "text", ""))},
+    ),
+    "simon": (
+        "simon.schema.json",
+        {
+            "--n": (3, ()),
+            "--mask": ("101", ("011", "1", "0", "000", "", "1x1", "10 1")),
+            "--shots": (40, ()),
+            "--mode": (None, ("exact", "simulate", "junk")),
+        },
+    ),
+    "bench": (
+        "bench.schema.json",
+        {
+            "--group": ("Z4", ("Z2^3", "Z2xZ3", "Z64", "Z1", "Z2^40", "", "Z", "Z2^", "Zx2", "Z0", "Z2^0", "x")),
+            "--methods": (None, ("dense", "tower", "radix2", "walsh", "walsh,tower", "", ",", "fft", "dense,,walsh")),
+        },
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    # A valid call with one to three of its flags set to another value, or left out.
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = {**_FLAGS[command][1], "--seed": (None, ())}
+    values = {flag: valid for flag, (valid, _) in flags.items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True)):
+        values[flag] = draw(st.sampled_from((None,) + flags[flag][1] + _NUMBERS))
+    return [command] + [token for flag, value in values.items() if value is not None for token in (flag, str(value))]
+
+
+@_SETTINGS
+@given(_argv())
+def test_any_flag_values_are_a_result_one_error_line_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    elif code == 2:
+        assert out == ""
+    elif "text" not in argv:
+        _schema_validator(_FLAGS[argv[0]][0]).validate(json.loads(out))
+    else:
+        assert out.startswith("wires: ") and err == ""

@@ -107,6 +107,29 @@ def test_translate_negate_and_coords_table_match_the_scalar_oracle():
                 g.negate(bad)
 
 
+def test_few_element_arithmetic_needs_no_coords_table():
+    # A two-factor group of order 3 * 2**61 has a coords_table of 2**62 rows, which nothing can
+    # hold; a few elements read their coordinates by division and agree with the scalar oracle.
+    g = make_group([2**61, 3])
+    elements = [0, 5, 7, 8, 2**61 + 1, g.order - 1]
+    for x in elements:
+        cx = g.coords_of(x)
+        assert g.neg_index(x) == g.index_of(g.neg(cx))
+        for y in elements:
+            assert g.add_index(x, y) == g.index_of(g.add(cx, g.coords_of(y)))
+    assert g.translate(elements, 5).tolist() == [g.add_index(x, 5) for x in elements]
+    assert g.negate(elements).tolist() == [g.neg_index(x) for x in elements]
+    for label in ((5, 1), (2**61 - 1, 2)):
+        expected = [character_phase(g, label, g.coords_of(x)) for x in elements]
+        assert character_phases(g, label, elements).tolist() == expected
+    assert "coords_table" not in vars(g)
+    # On a group small enough to tabulate, the digits read by division are the table's rows.
+    small, few = make_group([4, 9, 5]), np.array([0, 7, 179])
+    digits = small._coords(few)
+    assert "coords_table" not in vars(small)
+    assert digits.dtype == small.coords_table.dtype and digits.tolist() == small.coords_table[few].tolist()
+
+
 def test_group_shape_predicates():
     expected = {
         (1,): (False, False),

@@ -410,6 +410,18 @@ def test_find_period_checks_the_table_once(monkeypatch, mode):
     assert calls == {"stabilizer_bruteforce": 0, "check_nondegenerate": 1}
 
 
+def test_converged_recovery_returns_the_checked_stabiliser(monkeypatch):
+    # The preimage of f(0) is checked once as a subgroup; a recovery that ends on its members
+    # returns that object instead of checking the same members again.
+    f, planted = _planted_table([1024], [(64,)])
+    calls = []
+    check = Subgroup.__post_init__
+    monkeypatch.setattr(Subgroup, "__post_init__", lambda self: (calls.append(self), check(self))[1])
+    result = find_period(f, 200, np.random.default_rng(11))
+    assert result.converged and result.subgroup == planted
+    assert calls == [result.subgroup]
+
+
 def test_recovery_never_calls_the_oracle(monkeypatch):
     # The stabiliser is read off the preimage of f(0); the brute-force search is a test oracle only.
     def refuse(f):
