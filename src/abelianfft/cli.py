@@ -67,6 +67,13 @@ def _load_json(path: str) -> object:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _rng(seed: int) -> np.random.Generator:
+    # numpy refuses a negative seed with a message that names neither the flag nor the value.
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _check_method(group: AbelianGroup, method: str) -> None:
     if method == "tower" and group.order == 1:
         raise ValueError("tower method needs a group of order at least 2")
@@ -110,6 +117,7 @@ def _cmd_fft(args: argparse.Namespace) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     if args.shots < 0:
         raise ValueError(f"shot count {args.shots} must not be negative")
+    rng = _rng(args.seed) if args.shots > 0 else None
     program = program_from_json(_load_json(args.program))
     state = run_program(program)
     payload: dict = {
@@ -128,12 +136,12 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         }
         del probs  # sampling builds its own normalised copy
         if args.shots > 0:
-            payload["counts"] = sample(state, args.shots, np.random.default_rng(args.seed))
+            payload["counts"] = sample(state, args.shots, rng)
     else:
         dist = measure_qubit_distribution(state, int(args.measure))
         payload["distribution"] = {"0": dist[0], "1": dist[1]}
         if args.shots > 0:
-            tally = _tally(np.random.default_rng(args.seed), _cdf(np.array([dist[0], dist[1]])), args.shots)
+            tally = _tally(rng, _cdf(np.array([dist[0], dist[1]])), args.shots)
             payload["counts"] = {"0": tally.get(0, 0), "1": tally.get(1, 0)}
     return payload
 
@@ -183,7 +191,7 @@ def _subgroup_payload(subgroup) -> dict:
 
 def _cmd_period_find(args: argparse.Namespace) -> dict:
     table = _function_from_json(_load_json(args.function))
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     result = find_period(table, args.shots, rng, mode=args.mode)
     return {
         "group": table.group.spec_string(),
@@ -198,13 +206,15 @@ def _cmd_period_find(args: argparse.Namespace) -> dict:
 
 def _cmd_simon(args: argparse.Namespace) -> dict:
     n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     if len(args.mask) != n or any(c not in "01" for c in args.mask):
         raise ValueError(f"mask {args.mask!r} must be a {n}-character bit-string")
     mask = int(args.mask, 2)
     if mask == 0:
         raise ValueError("mask must be nonzero: a two-to-one table needs a nontrivial period")
     _check_mode_order(1 << n, args.mode)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     table = two_to_one_table(n, mask, rng)
     result = find_period(table, args.shots, rng, mode=args.mode)
     recovered = None
@@ -232,7 +242,7 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
         _check_method(group, m)
     if group.order > 1 << STATE_CAP:
         raise ValueError(f"group order {group.order} exceeds the bench limit 2^{STATE_CAP}")
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     vec = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
     vec /= np.linalg.norm(vec)
     results = {m: asdict(_run_method(group, m, vec)[1]) for m in methods}

@@ -17,7 +17,7 @@ from .groups import (
     _characters,
     _element_order,
     _orbit_min,
-    character_phases,
+    _phases,
     make_group,
 )
 
@@ -84,7 +84,10 @@ def build_tower(group: AbelianGroup) -> SubgroupTower:
 
     Each level is d_1 Z_m1 x ... x d_r Z_mr for growing divisors d_i, found among the members
     of the level before it, so building the tower reads each coordinate column once per level
-    only for the members still left.
+    only for the members still left.  The levels are subgroups by construction, so they skip
+    Subgroup's closure check: their greedy generators are, in closed form, the d_i w_i with
+    d_i < m_i (w_i the index weights) in ascending order, each the least member outside the
+    closure of those before it.
     """
     if group.order == 1:
         raise ValueError("the trivial group has no proper subgroup chain")
@@ -92,11 +95,14 @@ def build_tower(group: AbelianGroup) -> SubgroupTower:
     levels: list[Subgroup] = []
     for position, m in enumerate(group.moduli):
         column = group.coords_table[:, position]
+        # The factors after this one are whole (d_i = 1); their generators are the least.
+        later = sorted(w for w, mi in zip(group.weights[position + 1:], group.moduli[position + 1:]) if mi > 1)
         divisor = 1
         while divisor < m:
             divisor *= _smallest_prime_factor(m // divisor)
             members = members[column[members] % np.int64(divisor) == 0]
-            levels.append(Subgroup(group, members))
+            own = [divisor * group.weights[position]] if divisor < m else []
+            levels.append(Subgroup._built(group, members, tuple(later + own)))
     return SubgroupTower(group, tuple(levels))
 
 
@@ -145,35 +151,40 @@ class _TowerPlan:
         shifts = np.zeros(1, dtype=np.int64)
         for level in tower.levels:
             index = len(above) // level.order
-            trivial = _annihilated(group, level.generators(), labels)
+            # The labels trivial on the level, filtered one generator at a time: pairing every label
+            # with every generator at once costs labels x rank x generators in int64 matmul.
+            trivial_classes = np.searchsorted(labels, _annihilated(group, level.generators(), labels))
             # least[c]: the least class above merged with class c so far.  Greedy generators of
             # the trivial labels (modulo the classes above) each merge classes along their cycles,
             # as coset_decompose does, and key the members above by their phases.
             least = np.arange(len(labels))
             coset = None
-            trivial_classes = np.searchsorted(labels, trivial)
+            label_coords, above_coords = group._coords(labels), group._coords(above)
             while (pending := trivial_classes[least[trivial_classes] != 0]).size:
-                gen = int(labels[pending[0]])
-                step = class_of[group.translate(labels, gen)]
-                least = _orbit_min(least, step, min(_element_order(group, gen), index))
-                phase = character_phases(group, gen, above)
+                gen = labels[pending[0]]
+                step = class_of[group._shift(labels, gen)]
+                least = _orbit_min(least, step, min(_element_order(group, int(gen)), index))
+                phase = _phases(group, above_coords, label_coords[pending[0]])
                 coset = phase if coset is None else np.unique(coset * group.lcm + phase, return_inverse=True)[1]
             _, first = np.unique(coset, return_index=True)
             reps = above[np.sort(first)]
             is_least = least == np.arange(len(labels))
             child = (np.cumsum(is_least) - 1)[least]
             self.reps.append(reps)
-            self.twiddles.append(_characters(group, group._coords(labels), group._coords(reps)))
+            self.twiddles.append(_characters(group, label_coords, group._coords(reps)))
             self.child_class.append(child)
-            shifts = group.translate(shifts[:, None], reps[None, :]).reshape(-1)
+            shifts = group._shift(shifts[:, None], reps[None, :]).reshape(-1)
             above, labels, class_of = level._indices, labels[is_least], child[class_of]
 
-        self.base_gather = group.translate(shifts[:, None], above[None, :])
+        self.base_gather = group._shift(shifts[:, None], above[None, :])
         self.base_table = _characters(group, group._coords(labels), group._coords(above))
 
 
 # Upper bound on the entries of the (node, class, rep) block the upward pass combines at once.
 _LEVEL_BLOCK_ENTRIES = 1 << 20
+# Largest index whose level the upward pass combines rep by rep.  np.sum adds a row of up to three
+# entries in order, but four or more pairwise, so only this far do both give the same bits.
+_REP_BY_REP = 3
 
 
 def fft_tower(
@@ -203,12 +214,18 @@ def fft_tower(
     for twiddles, child_class in zip(reversed(plan.twiddles), reversed(plan.child_class)):
         classes, reps = twiddles.shape
         children = out.reshape(-1, reps, out.shape[1])
-        out = np.empty((len(children), classes), dtype=np.complex128)
-        step = max(1, _LEVEL_BLOCK_ENTRIES // twiddles.size)
-        for start in range(0, len(children), step):
-            # (node, class, rep): each twiddle sum runs along the unit-stride rep axis, as the recursion's did.
-            block = children[start:start + step].transpose(0, 2, 1)[:, child_class]
-            out[start:start + step] = np.sum(twiddles * block, axis=2)
+        if reps <= _REP_BY_REP:
+            # Add the reps' terms one at a time, in the order np.sum adds so few.
+            out = twiddles[:, 0] * children[:, 0, child_class]
+            for j in range(1, reps):
+                out += twiddles[:, j] * children[:, j, child_class]
+        else:
+            out = np.empty((len(children), classes), dtype=np.complex128)
+            step = max(1, _LEVEL_BLOCK_ENTRIES // twiddles.size)
+            for start in range(0, len(children), step):
+                # (node, class, rep): each twiddle sum runs along the unit-stride rep axis, as the recursion's did.
+                block = children[start:start + step].transpose(0, 2, 1)[:, child_class]
+                out[start:start + step] = np.sum(twiddles * block, axis=2)
         mults += out.size * reps
         adds += out.size * (reps - 1)
 
@@ -243,23 +260,29 @@ def fft_radix2(n: int, f: Sequence[complex] | np.ndarray) -> tuple[np.ndarray, O
     axes), where every run of 2^m entries holds the inputs of one size-2^m
     sub-transform; stage m then combines the two halves of every run at once.
     Both halves of the butterfly carry the 1/sqrt(2) of their level, so each
-    stage performs exactly 2^n multiplies and 2^n adds.
+    stage performs exactly 2^n multiplies and 2^n adds.  The stages run through
+    two buffers: each writes its scaled halves into the second, as two
+    contiguous blocks, and its butterflies back into the first, so the
+    caller's array is only read.
     """
     if n < 0:
         raise ValueError(f"qubit count {n} must be nonnegative")
     vec = _as_vector(f, 1 << n)
     data = vec.reshape((2,) * n).transpose().flatten()
+    scaled = np.empty_like(data)
     mults = 0
     adds = 0
     for level in range(1, n + 1):
         size = 1 << level
         halves = data.reshape(-1, 2, size // 2)
-        scaled_even = halves[:, 0] * _INV_SQRT2
-        twisted_odd = halves[:, 1] * (_twiddle_table(size) * _INV_SQRT2)
-        data = np.concatenate((scaled_even + twisted_odd, scaled_even - twisted_odd), axis=1)
+        even, odd = scaled.reshape(2, -1, size // 2)
+        np.multiply(halves[:, 0], _INV_SQRT2, out=even)
+        np.multiply(halves[:, 1], _twiddle_table(size) * _INV_SQRT2, out=odd)
+        np.add(even, odd, out=halves[:, 0])
+        np.subtract(even, odd, out=halves[:, 1])
         mults += data.size
         adds += data.size
-    return data.reshape(-1), OpCountReport(mults, adds, n * (1 << n))
+    return data, OpCountReport(mults, adds, n * (1 << n))
 
 
 def walsh_hadamard(n: int, f: Sequence[complex] | np.ndarray) -> np.ndarray:

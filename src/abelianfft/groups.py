@@ -162,7 +162,10 @@ class AbelianGroup:
         to 2**63 - 1.  Raises ValueError on non-integer or out-of-range indices instead of
         letting numpy wrap negative ones.
         """
-        a, s = self._checked(indices), self._checked(shift)
+        return self._shift(self._checked(indices), self._checked(shift))
+
+    def _shift(self, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # translate of int64 index arrays already in range, with no check.
         top, carry = self._radix
         wraps = self._coords(a) > top - self._coords(s)
         # Ufuncs, not scalar operators: they wrap silently on 0-d input too.
@@ -298,7 +301,8 @@ class Subgroup:
     they are kept sorted and distinct, as a tuple.  Construction checks that they form a
     subgroup: it closes the set under the greedy generators below and rejects it if the closure
     is larger.  That costs about one translate per member and no pass over the whole group, so
-    a small subgroup of a large group is cheap.
+    a small subgroup of a large group is cheap.  The levels of build_tower are subgroups by
+    construction and skip this check (see _built).
     """
 
     parent: AbelianGroup
@@ -329,6 +333,16 @@ class Subgroup:
         object.__setattr__(self, "members", tuple(idx.tolist()))
         object.__setattr__(self, "_generators", tuple(gens))
         object.__setattr__(self, "_indices", idx)
+
+    @classmethod
+    def _built(cls, parent: AbelianGroup, members: np.ndarray, generators: tuple[int, ...]) -> Subgroup:
+        # A subgroup by construction, from its sorted distinct int64 member indices and its greedy
+        # generators: the fields __post_init__ sets, with no closure.
+        members.setflags(write=False)
+        built = object.__new__(cls)
+        vars(built).update(parent=parent, members=tuple(members.tolist()), _generators=generators,
+                           _indices=members)
+        return built
 
     @cached_property
     def order(self) -> int:

@@ -444,6 +444,45 @@ def test_simon_rejects_bad_mask(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_simon_refuses_a_bit_count_below_one_before_reading_the_mask(capsys, n):
+    code, out, err = _run(capsys, "simon", "--n", n, "--mask", "")
+    assert code == 1 and out == ""
+    assert err == f"error: --n must be at least 1, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("period-find", ["--function", "table.json"]),
+        ("simon", ["--n", "3", "--mask", "101"]),
+        ("bench", ["--group", "Z4"]),
+        ("simulate", ["--program", "h.json", "--shots", "5"]),
+        ("simulate", ["--program", "h.json", "--shots", "5", "--measure", "0"]),
+    ],
+    ids=["period-find", "simon", "bench", "simulate all", "simulate qubit 0"],
+)
+def test_negative_seed_is_refused_before_any_generator_is_seeded(tmp_path, monkeypatch, capsys, command, argv):
+    (tmp_path / "table.json").write_text(json.dumps({"group": "Z4", "values": [0, 1, 0, 1]}))
+    (tmp_path / "h.json").write_text(json.dumps({"n": 1, "steps": [{"gate": "H", "targets": [0]}]}))
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", refuse)
+    code, out, err = _run(capsys, command, *argv, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+def test_simulate_without_shots_ignores_the_seed(tmp_path, capsys):
+    source = tmp_path / "h.json"
+    source.write_text(json.dumps({"n": 1, "steps": [{"gate": "H", "targets": [0]}]}))
+    payload = _run_json(capsys, "simulate", "--program", str(source), "--seed", "-1")
+    assert payload["shots"] == 0 and "counts" not in payload
+
+
 @pytest.mark.parametrize("argv", [("--n", "30"), ("--n", "9", "--mode", "simulate")], ids=["exact", "simulate"])
 def test_simon_rejects_oversized_group_before_building_the_table(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):

@@ -280,7 +280,9 @@ def test_plan_representatives_are_the_parent_level_part_of_coset_decompose(group
             assert reps.tolist() == oracle
 
 
-@pytest.mark.parametrize("moduli", [(2,) * 16, (2, 2, 2, 3, 3, 3, 5)], ids=str)
+# High rank, then a long cyclic group and a large mixed one: the sizes where the plan's phase
+# filter and the upward pass's rep-by-rep and blocked paths run on many nodes at once.
+@pytest.mark.parametrize("moduli", [(2,) * 16, (2, 2, 2, 3, 3, 3, 5), (65536,), (64, 27, 25)], ids=str)
 def test_tower_matches_ifftn_at_high_rank(moduli):
     group = make_group(list(moduli))
     tower = build_tower(group)
@@ -311,6 +313,14 @@ def test_radix2_matches_dense(m):
     assert report.complex_multiplies == m * (1 << m)
     assert report.complex_adds == m * (1 << m)
     assert report.predicted_bound == m * (1 << m)
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_radix2_matches_ifft_at_large_sizes(m):
+    vec = random_vector(1 << m, np.random.default_rng(200 + m))
+    out, report = fft_radix2(m, vec)
+    assert np.max(np.abs(out - np.fft.ifft(vec, norm="ortho"))) < TOL_TRANSFORM
+    assert report.complex_multiplies == report.complex_adds == m * (1 << m)
 
 
 def test_radix2_frozen_small_cases():

@@ -1,5 +1,6 @@
 """Property tests over random groups: the array group arithmetic against coordinate arithmetic,
-the tower transform against the dense oracle whatever tower it runs on, the transform's
+build_tower's levels against their validated construction, the tower transform against the
+dense oracle whatever tower it runs on, the transform's
 Parseval identity and shift duality, the stabiliser route against the brute-force oracle, and the
 nondegeneracy check against the coset table on arbitrary subgroups."""
 from __future__ import annotations
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from abelianfft import (
     FunctionTable,
+    Subgroup,
     SubgroupTower,
     apply_dense,
     build_tower,
@@ -99,6 +101,19 @@ def test_closure_matches_set_closure(case):
         closure |= frontier
     subgroup = subgroup_from_generators(group, [group.coords_of(g) for g in gens])
     assert subgroup.members == tuple(sorted(closure))
+
+
+@_SETTINGS
+@given(st.one_of(groups(), st.lists(st.integers(1, 6), min_size=4, max_size=6).map(make_group))
+       .filter(lambda group: group.order > 1))
+def test_tower_levels_equal_their_validated_construction(group):
+    # build_tower skips the closure check and states each level's greedy generators in closed
+    # form; the checked construction must find the same members and the same generators.
+    for level in build_tower(group).levels:
+        checked = Subgroup(group, level._indices)
+        assert level.members == checked.members
+        assert level.generators() == checked.generators()
+        assert np.array_equal(level._indices, checked._indices) and not level._indices.flags.writeable
 
 
 @_SETTINGS
