@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .dense import apply_dense
+from .dense import DENSE_CAP, apply_dense
 from .fastfft import OpCountReport, build_tower, fft_radix2, fft_tower, walsh_hadamard
 from .groups import AbelianGroup, parse_group_spec
 from .period import FunctionTable, _check_mode_order, find_period, two_to_one_table
@@ -117,6 +117,12 @@ def _cmd_fft(args: argparse.Namespace) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     if args.shots < 0:
         raise ValueError(f"shot count {args.shots} must not be negative")
+    qubit = None
+    if args.measure != "all":
+        try:
+            qubit = int(args.measure)
+        except ValueError:
+            raise ValueError(f'--measure must be "all" or a qubit index, got {args.measure!r}') from None
     rng = _rng(args.seed) if args.shots > 0 else None
     program = program_from_json(_load_json(args.program))
     state = run_program(program)
@@ -126,7 +132,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "shots": args.shots,
     }
-    if args.measure == "all":
+    if qubit is None:
         probs = np.abs(state.amps)
         probs *= probs
         support = np.flatnonzero(probs > 1e-15)
@@ -138,7 +144,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         if args.shots > 0:
             payload["counts"] = sample(state, args.shots, rng)
     else:
-        dist = measure_qubit_distribution(state, int(args.measure))
+        dist = measure_qubit_distribution(state, qubit)
         payload["distribution"] = {"0": dist[0], "1": dist[1]}
         if args.shots > 0:
             tally = _tally(rng, _cdf(np.array([dist[0], dist[1]])), args.shots)
@@ -242,6 +248,10 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
         _check_method(group, m)
     if group.order > 1 << STATE_CAP:
         raise ValueError(f"group order {group.order} exceeds the bench limit 2^{STATE_CAP}")
+    # Bench keeps only the tallies, and dense's are a closed form, but it would still run the
+    # O(order^2) transform: hours of it at 2^20.
+    if "dense" in methods and group.order > DENSE_CAP:
+        raise ValueError(f"dense method in bench is limited to order {DENSE_CAP}, got {group.order}")
     rng = _rng(args.seed)
     vec = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
     vec /= np.linalg.norm(vec)

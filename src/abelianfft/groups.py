@@ -300,8 +300,9 @@ class Subgroup:
     The members may be passed as any sequence or integer array, in any order and with repeats;
     they are kept sorted and distinct, as a tuple.  Construction checks that they form a
     subgroup: it closes the set under the greedy generators below and rejects it if the closure
-    is larger.  That costs about one translate per member and no pass over the whole group, so
-    a small subgroup of a large group is cheap.  The levels of build_tower are subgroups by
+    is larger.  That costs about one translate per member, plus a one-byte mask over the whole
+    group (_mask_of): even a two-element subgroup of Z_(2^28) reserves 256 MiB, and no subgroup
+    of a group of order 2^40 can be built.  The levels of build_tower are subgroups by
     construction and skip this check (see _built).
     """
 

@@ -21,16 +21,18 @@ Butterflies and exchanges work in blocks of at most `_BLOCK` pairs, so a gate
 on the top wire needs no temporary the size of the state.  The workspace holds
 twice the state; `run_program` makes it when the first raw 4x4 gate runs and
 reuses it for every later one, so a program without raw 4x4 gates never has
-it.  The named gates share one read-only matrix each (one per exponent for
-CPHASE), checked for unitarity once, when it is first built; a raw matrix is
-checked on every `Gate`.
+it.  The named gates come from one table, `_NAMED`, through one validator,
+`_named_matrix`: one shared read-only matrix per name (per exponent for CPHASE),
+checked for unitarity when first built.  A named `Gate` must carry exactly that
+matrix, so its name picks its kernel and its JSON form; a gate with no name gets
+a private copy of its matrix, checked on every `Gate`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import prod, sqrt
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -111,15 +113,14 @@ def _check_unitary(matrix: np.ndarray) -> None:
         raise ValueError(f"gate matrix is not unitary (deviation {deviation:.3e})")
 
 
-# id of each shared named-gate matrix -> (the matrix, the in-place kernel that runs it or None
-# for the butterfly).  Holding the matrix keeps it alive, so its id is never reused.
-_SHARED: dict[int, tuple[np.ndarray, Callable[[np.ndarray], None] | None]] = {}
-
+# The one table of named gates: name -> (matrix rows, and the two index slices the exchange
+# kernel swaps or None).  CPHASE has no rows here: its matrix depends on its exponent.
 _NAMED = {
     "H": ([[1 / sqrt(2.0), 1 / sqrt(2.0)], [1 / sqrt(2.0), -1 / sqrt(2.0)]], None),
-    "X": ([[0, 1], [1, 0]], partial(_exchange, a=(0,), b=(1,))),
-    "CNOT": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], partial(_exchange, a=(1, 0), b=(1, 1))),
-    "SWAP": ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], partial(_exchange, a=(0, 1), b=(1, 0))),
+    "X": ([[0, 1], [1, 0]], ((0,), (1,))),
+    "CNOT": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], ((1, 0), (1, 1))),
+    "SWAP": ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], ((0, 1), (1, 0))),
+    "CPHASE": (None, None),
 }
 
 # 2.0**-e is 0.0 from here on, so every larger exponent shares the identity matrix and the
@@ -127,25 +128,36 @@ _NAMED = {
 _PHASE_EXPONENT_LIMIT = 1075
 
 
+def _named_matrix(name: object, param: object = None) -> np.ndarray:
+    """The shared read-only matrix of a named gate, after checking the name and its param: CPHASE
+    takes an integer exponent of at least 1, every other name takes none."""
+    if not isinstance(name, str) or name not in _NAMED:
+        raise ValueError(f"unknown gate {name!r}")
+    if name == "CPHASE" and not (_is_int(param) and param >= 1):
+        raise ValueError(f"CPHASE param {param!r} must be a positive integer")
+    if name != "CPHASE" and param is not None:
+        raise ValueError(f"gate {name} takes no param, got {param!r}")
+    return _shared(name, min(param or 0, _PHASE_EXPONENT_LIMIT))
+
+
 @lru_cache(maxsize=None)
-def _shared(name: str, exponent: int = 0) -> np.ndarray:
-    """The one read-only matrix of a named gate (of each exponent for CPHASE), checked for
-    unitarity when it is first asked for."""
-    if name == "CPHASE":
-        phase = np.exp(2j * np.pi * 2.0**-exponent)
-        rows, kernel = np.diag([1, 1, 1, phase]), partial(_phase, phase=phase)
-    else:
-        rows, kernel = _NAMED[name]
+def _shared(name: str, exponent: int) -> np.ndarray:
+    rows = np.diag([1, 1, 1, np.exp(2j * np.pi * 2.0**-exponent)]) if name == "CPHASE" else _NAMED[name][0]
     matrix = np.array(rows, dtype=np.complex128)
     _check_unitary(matrix)
     matrix.setflags(write=False)
-    _SHARED[id(matrix)] = (matrix, kernel)
     return matrix
+
+
+def _is_int(value: object) -> bool:
+    # A Python int, not a bool: bool is a subclass of int, and JSON true and false load as bool.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class Gate:
-    """A 1- or 2-qubit unitary bound to target wires; a raw matrix is checked for unitarity here."""
+    """A 1- or 2-qubit unitary bound to target wires: a named gate carries its name's shared matrix,
+    any other gets a private copy of its matrix, checked for unitarity here, and no param."""
 
     matrix: np.ndarray
     targets: tuple[int, ...]
@@ -153,13 +165,17 @@ class Gate:
     param: int | None = None
 
     def __post_init__(self) -> None:
-        matrix = self.matrix
-        if id(matrix) not in _SHARED:
+        if self.name is not None:
+            if self.matrix is not _named_matrix(self.name, self.param):
+                raise ValueError(f"a gate named {self.name} must carry the shared {self.name} matrix")
+        elif self.param is not None:
+            raise ValueError(f"a gate with no name takes no param, got {self.param!r}")
+        else:
             # A private copy, so freezing it leaves the caller's array writable.
-            matrix = np.array(matrix, dtype=np.complex128)
+            matrix = np.array(self.matrix, dtype=np.complex128)
             _check_unitary(matrix)
             matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+            object.__setattr__(self, "matrix", matrix)
         targets = tuple(int(t) for t in self.targets)
         if len(targets) != self.arity:
             raise ValueError(f"{self.arity}-qubit gate lists targets {targets}")
@@ -173,27 +189,24 @@ class Gate:
 
 
 def hadamard(target: int) -> Gate:
-    return Gate(_shared("H"), (target,), name="H")
+    return Gate(_named_matrix("H"), (target,), "H")
 
 
 def pauli_x(target: int) -> Gate:
-    return Gate(_shared("X"), (target,), name="X")
+    return Gate(_named_matrix("X"), (target,), "X")
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate(_shared("CNOT"), (control, target), name="CNOT")
+    return Gate(_named_matrix("CNOT"), (control, target), "CNOT")
 
 
 def swap_gate(a: int, b: int) -> Gate:
-    return Gate(_shared("SWAP"), (a, b), name="SWAP")
+    return Gate(_named_matrix("SWAP"), (a, b), "SWAP")
 
 
 def cphase(control: int, target: int, exponent: int = 1) -> Gate:
     """Conditional phase diag(1, 1, 1, exp(2 pi i / 2^exponent)); exponent 1 gives CZ."""
-    if not isinstance(exponent, int) or exponent < 1:
-        raise ValueError(f"phase exponent {exponent!r} must be a positive integer")
-    matrix = _shared("CPHASE", min(exponent, _PHASE_EXPONENT_LIMIT))
-    return Gate(matrix, (control, target), name="CPHASE", param=exponent)
+    return Gate(_named_matrix("CPHASE", exponent), (control, target), "CPHASE", exponent)
 
 
 def _check_width(n_qubits: int) -> None:
@@ -289,16 +302,19 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
 
 
 def _run_gates(amps: np.ndarray, gates: Iterable[Gate]) -> None:
-    """Run the gates in order on a writable amplitude buffer, in place: named gates by their own
-    kernels, other 2x2 gates by the blocked butterfly, raw 4x4 gates by the product into one
-    workspace made at the first of them.  B stacked 2^n-amplitude states each run as they would
-    alone: every kernel works on its target bits only, with the same arithmetic on each amplitude."""
+    """Run the gates in order on a writable amplitude buffer, in place, by the kernel each gate's
+    name picks: CPHASE the phase, X, CNOT and SWAP the exchange, other 2x2 gates the blocked
+    butterfly, raw 4x4 gates the product into one workspace made at the first of them.  B stacked
+    2^n-amplitude states each run as they would alone: every kernel works on its target bits only,
+    with the same arithmetic on each amplitude."""
     workspace = None
     for gate in gates:
         view = _wire_view(amps, gate.targets)
-        kernel = _SHARED.get(id(gate.matrix), (None, None))[1]
-        if kernel is not None:
-            kernel(view)
+        exchanged = _NAMED.get(gate.name, (None, None))[1]
+        if gate.name == "CPHASE":
+            _phase(view, gate.matrix[3, 3])
+        elif exchanged:
+            _exchange(view, *exchanged)
         elif len(gate.targets) == 1:
             _butterfly(view, gate.matrix)
         else:
@@ -429,20 +445,6 @@ def _matrix_from_json(rows: object) -> np.ndarray:
     return np.array([[_complex_from_json(e) for e in row] for row in rows], dtype=np.complex128)
 
 
-_NAMED_BUILDERS = {
-    "H": (1, lambda targets, param: hadamard(*targets)),
-    "X": (1, lambda targets, param: pauli_x(*targets)),
-    "CNOT": (2, lambda targets, param: cnot(*targets)),
-    "SWAP": (2, lambda targets, param: swap_gate(*targets)),
-    "CPHASE": (2, lambda targets, param: cphase(*targets, exponent=1 if param is None else param)),
-}
-
-
-def _is_int(value: object) -> bool:
-    # A Python int, not a bool: bool is a subclass of int, and JSON true and false load as bool.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def program_from_json(obj: Mapping) -> Program:
     """Parse {"n": int, "steps": [...]} with named gates or raw [re, im] matrices."""
     if not isinstance(obj, Mapping):
@@ -456,27 +458,23 @@ def program_from_json(obj: Mapping) -> Program:
         raise ValueError(f'program field "steps" must be a list, got {obj["steps"]!r}')
     steps: list[Gate] = []
     for pos, step in enumerate(obj["steps"]):
-        if not isinstance(step, Mapping):
-            raise ValueError(f"step {pos} must be an object")
-        targets = step.get("targets")
-        if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
-            raise ValueError(f"step {pos} needs an integer target list")
-        if "gate" in step:
-            name = step["gate"]
-            if not isinstance(name, str) or name not in _NAMED_BUILDERS:
-                raise ValueError(f"step {pos} names unknown gate {name!r}")
-            arity, builder = _NAMED_BUILDERS[name]
-            if len(targets) != arity:
-                raise ValueError(f"step {pos}: gate {name} takes {arity} targets, got {len(targets)}")
-            param = step.get("param")
-            if param is not None and not _is_int(param):
-                raise ValueError(f"step {pos}: param must be an integer, got {param!r}")
-            steps.append(builder(targets, param))
-        elif "matrix" in step:
-            matrix = _matrix_from_json(step["matrix"])
-            steps.append(Gate(matrix, tuple(targets)))
-        else:
-            raise ValueError(f'step {pos} needs either a "gate" name or a raw "matrix"')
+        try:
+            if not isinstance(step, Mapping):
+                raise ValueError("must be a JSON object")
+            targets = step.get("targets")
+            if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
+                raise ValueError("needs an integer target list")
+            if "gate" in step:
+                name, param = step["gate"], step.get("param")
+                if param is None and name == "CPHASE":
+                    param = 1  # cphase's default exponent: CZ
+                steps.append(Gate(_named_matrix(name, param), tuple(targets), name, param))
+            elif "matrix" in step:
+                steps.append(Gate(_matrix_from_json(step["matrix"]), tuple(targets)))
+            else:
+                raise ValueError('needs either a "gate" name or a raw "matrix"')
+        except ValueError as error:
+            raise ValueError(f"step {pos}: {error}") from None
     return Program(n, tuple(steps))
 
 

@@ -197,6 +197,28 @@ def test_simulate_single_qubit_measure(tmp_path, capsys):
     assert sum(payload["counts"].values()) == 40
 
 
+@pytest.mark.parametrize("measure", ["foo", "1.5", ""])
+def test_simulate_parses_measure_before_running_the_program(tmp_path, capsys, monkeypatch, measure):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the program ran")
+
+    monkeypatch.setattr(cli, "run_program", refuse)
+    source = tmp_path / "h.json"
+    source.write_text(json.dumps({"n": 1, "steps": [{"gate": "H", "targets": [0]}]}))
+    code, out, err = _run(capsys, "simulate", "--program", str(source), "--measure", measure)
+    assert code == 1 and out == ""
+    assert err == f'error: --measure must be "all" or a qubit index, got {measure!r}\n'
+
+
+def test_simulate_measure_takes_what_int_takes(tmp_path, capsys):
+    source = tmp_path / "h1.json"
+    source.write_text(json.dumps({"n": 2, "steps": [{"gate": "H", "targets": [1]}]}))
+    want = _run_json(capsys, "simulate", "--program", str(source), "--measure", "1")["distribution"]
+    for spelling in (" 1", "+1", "01"):
+        payload = _run_json(capsys, "simulate", "--program", str(source), "--measure", spelling)
+        assert payload["measure"] == spelling and payload["distribution"] == want
+
+
 # SHA-256 of the stdout of `simulate --shots 1000` on _program20(), taken before the simulator
 # ran its gates in place and counted outcomes over the support only.
 _SIMULATE20_DIGEST = "bb3e44f701a69b8ff1b425a4648333806099aaed83f6ab4b13da7dbf64fac628"
@@ -549,6 +571,20 @@ def test_bench_checks_every_method_before_running_any(monkeypatch, capsys):
     code, out, err = _run(capsys, "bench", "--group", "Z2^20")
     assert code == 1 and out == ""
     assert err == f"error: radix2 method needs a cyclic group of order 2^n, got {'x'.join(['Z2'] * 20)}\n"
+
+
+def test_bench_refuses_dense_above_the_matrix_cap(monkeypatch, capsys):
+    # Bench keeps only tallies, and dense's are a closed form, but the transform would still run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense transform ran")
+
+    monkeypatch.setattr(cli, "apply_dense", refuse)
+    code, out, err = _run(capsys, "bench", "--group", f"Z{2 * DENSE_CAP}")
+    assert code == 1 and out == ""
+    assert err == f"error: dense method in bench is limited to order {DENSE_CAP}, got {2 * DENSE_CAP}\n"
+    # Without dense the same group runs.
+    payload = _run_json(capsys, "bench", "--group", f"Z{2 * DENSE_CAP}", "--methods", "radix2")
+    assert payload["order"] == 2 * DENSE_CAP and "radix2" in payload["methods"]
 
 
 def test_bench_rejects_unknown_method(capsys):

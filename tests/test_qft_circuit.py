@@ -21,8 +21,10 @@ from abelianfft import (
     program_to_json,
     run_program,
 )
-from abelianfft.qft_circuit import REORDER_MODES
+from abelianfft.qft_circuit import REORDER_MODES, _run_network
 from abelianfft.simulator import QState, apply_1q, apply_2q
+
+from test_acceptance import TOL_TRANSFORM
 
 
 def _network_unitary(compiled):
@@ -229,3 +231,41 @@ def test_apply_wire_permutation_matches_the_bit_loop(n):
         out = apply_wire_permutation(state, permutation)
         assert np.array_equal(out.amps, _permute_by_bit_loop(state.amps, permutation))
         assert not np.shares_memory(out.amps, state.amps)
+
+
+def _unit_rows(rng, rows, m):
+    amps = rng.standard_normal((rows, 1 << m)) + 1j * rng.standard_normal((rows, 1 << m))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+# The dense oracle stops at 2^12; above it numpy's FFT is the judge, at the widths the network
+# runs in recovery (stacked rows) and in `simulate` (up to 24 qubits).
+@pytest.mark.parametrize("m", [9, 14, 20])
+def test_network_matches_numpy_ifft(m):
+    rng = np.random.default_rng(400 + m)
+    state = QState(m, _unit_rows(rng, 1, m)[0])
+    assert np.max(np.abs(apply_qft(state).amps - np.fft.ifft(state.amps, norm="ortho"))) < TOL_TRANSFORM
+    rows = _unit_rows(rng, 2 if m == 20 else 3, m)
+    got = _run_network(compile_qft(m), rows)
+    assert np.max(np.abs(got - np.fft.ifft(rows, axis=1, norm="ortho"))) < TOL_TRANSFORM
+
+
+def _product_form(m, x):
+    # The transform of |x> on Z_(2^m) is the product over wires j of
+    # (|0> + exp(2 pi i (x 2^j mod 2^m) / 2^m) |1>) / sqrt(2), wire 0 the least significant.  The
+    # phase is reduced in integers: in floats x 2^j / 2^m drifts by about 4e-13 at m = 20.
+    amps = np.ones(1, dtype=np.complex128)
+    for j in range(m):
+        turn = ((x << j) % (1 << m)) / (1 << m)
+        amps = np.kron(np.array([1.0, np.exp(2j * np.pi * turn)]) / np.sqrt(2.0), amps)
+    return amps
+
+
+@pytest.mark.parametrize("m", [9, 14, 20])
+def test_network_matches_the_product_form_on_basis_states(m):
+    rng = np.random.default_rng(500 + m)
+    # One state at m = 20 keeps the test under half a second.
+    picks = rng.integers(1 << m, size=1 if m == 20 else 2).tolist() + ([] if m == 20 else [0, 1, (1 << m) - 1])
+    for x in picks:
+        got = apply_qft(basis_state(m, x)).amps
+        assert np.max(np.abs(got - _product_form(m, x))) < TOL_TRANSFORM, x

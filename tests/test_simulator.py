@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -414,6 +415,97 @@ def test_program_from_json_rejects_garbage():
         step = {"targets": [0], "matrix": [[entry, [0, 0]], [[0, 0], [1, 0]]]}
         with pytest.raises(ValueError, match="two real numbers"):
             program_from_json({"n": 1, "steps": [step]})
+
+
+def test_a_named_gate_carries_its_own_matrix():
+    # A name that contradicts the matrix would run as the matrix and be written out as the name.
+    with pytest.raises(ValueError, match="shared H matrix"):
+        Gate(np.eye(2), (0,), name="H")
+    with pytest.raises(ValueError, match="shared X matrix"):
+        Gate(hadamard(0).matrix, (0,), name="X")
+    with pytest.raises(ValueError, match="shared CPHASE matrix"):
+        Gate(cphase(0, 1, 3).matrix, (0, 1), name="CPHASE", param=5)
+    with pytest.raises(ValueError, match="unknown gate"):
+        Gate(hadamard(0).matrix, (0,), name="Hadamard")
+    with pytest.raises(ValueError, match="no name takes no param"):
+        Gate(np.eye(2), (0,), param=2)
+    with pytest.raises(ValueError, match="takes no param"):
+        Gate(hadamard(0).matrix, (0,), name="H", param=1)
+    # With no name, a shared matrix is a raw one: copied, checked, and run by the butterfly.
+    raw = Gate(pauli_x(0).matrix, (0,))
+    assert raw.name is None and raw.matrix is not pauli_x(0).matrix
+    assert np.array_equal(run_program(Program(1, (raw,))).amps, [0, 1])
+
+
+def test_program_from_json_refuses_a_param_its_gate_does_not_take():
+    for step in (
+        {"gate": "SWAP", "targets": [0, 1], "param": -3},
+        {"gate": "H", "targets": [0], "param": 2},
+        {"gate": "CPHASE", "targets": [0, 1], "param": 0},
+    ):
+        with pytest.raises(ValueError, match=r"^step 1: .*param"):
+            program_from_json({"n": 2, "steps": [{"gate": "X", "targets": [1]}, step]})
+    # A null param is no param, and on CPHASE means exponent 1.
+    steps = program_from_json({"n": 2, "steps": [{"gate": "H", "targets": [0], "param": None},
+                                                 {"gate": "CPHASE", "targets": [0, 1], "param": None}]}).steps
+    assert steps[0].param is None and steps[1].param == 1 and steps[1].matrix is cphase(0, 1).matrix
+
+
+# Each name's gate on wires 0 (and 1) from its public constructor, and for each name with no
+# param another name's matrix of the same size.
+_BUILD = {
+    "H": lambda param: hadamard(0),
+    "X": lambda param: pauli_x(0),
+    "CNOT": lambda param: cnot(0, 1),
+    "SWAP": lambda param: swap_gate(0, 1),
+    "CPHASE": lambda param: cphase(0, 1, param),
+}
+_OTHER_NAME = {"H": "X", "X": "H", "CNOT": "SWAP", "SWAP": "CNOT"}
+
+
+@st.composite
+def _named_and_raw_steps(draw):
+    """Gates built from any name (or none) with its own matrix, another name's or a raw one, each
+    with whether Gate must refuse it: exactly when a name does not match its matrix."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        name = draw(st.sampled_from(["H", "X", "CNOT", "SWAP", "CPHASE", None]))
+        arity = draw(st.integers(1, 2)) if name is None else 1 if name in ("H", "X") else 2
+        wires = tuple(draw(st.permutations(range(n)))[:arity])
+        param = draw(st.integers(1, 8)) if name == "CPHASE" else None
+        source = draw(st.sampled_from(["own", "other", "raw"]))
+        if name is None:
+            shared = hadamard(0) if arity == 1 else cphase(0, 1, draw(st.integers(1, 8)))
+            matrix = shared.matrix if source == "other" else random_unitary(2 << (arity - 1), rng)
+        elif source == "own":
+            matrix = _BUILD[name](param).matrix
+        elif source == "other":
+            matrix = cphase(0, 1, param + 1).matrix if name == "CPHASE" else _BUILD[_OTHER_NAME[name]](None).matrix
+        else:
+            matrix = random_unitary(2 << (arity - 1), rng)
+        steps.append((matrix, wires, name, param, name is not None and source != "own"))
+    return n, steps, _random_state(n, rng)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_named_and_raw_steps())
+def test_program_json_round_trip_runs_bit_identically(case):
+    n, steps, initial = case
+    gates = []
+    for matrix, wires, name, param, contradicts in steps:
+        try:
+            gates.append(Gate(matrix, wires, name, param))
+            refused = False
+        except ValueError:
+            refused = True
+        assert refused == contradicts, (name, param)
+    program = Program(n, tuple(gates))
+    text = json.dumps(program_to_json(program))
+    reloaded = program_from_json(json.loads(text))
+    assert json.dumps(program_to_json(reloaded)) == text
+    assert np.array_equal(run_program(reloaded, initial).amps, run_program(program, initial).amps)
 
 
 def test_gate_sequence_unitarity_preserved():
