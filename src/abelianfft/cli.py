@@ -19,6 +19,7 @@ from .qft_circuit import REORDER_MODES, compile_qft
 from .simulator import (
     STATE_CAP,
     _cdf,
+    _check_target,
     _complex_from_json,
     _is_int,
     _tally,
@@ -125,6 +126,8 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
             raise ValueError(f'--measure must be "all" or a qubit index, got {args.measure!r}') from None
     rng = _rng(args.seed) if args.shots > 0 else None
     program = program_from_json(_load_json(args.program))
+    if qubit is not None:
+        _check_target(program.n_qubits, qubit)
     state = run_program(program)
     payload: dict = {
         "n": program.n_qubits,

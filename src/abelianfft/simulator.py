@@ -252,9 +252,9 @@ def basis_state(n_qubits: int, index: int) -> QState:
     return QState(n_qubits, _basis_amps(n_qubits, index))
 
 
-def _check_target(state: QState, target: int) -> None:
-    if not 0 <= target < state.n_qubits:
-        raise ValueError(f"target qubit {target} out of range for {state.n_qubits}-qubit state")
+def _check_target(n_qubits: int, target: int) -> None:
+    if not 0 <= target < n_qubits:
+        raise ValueError(f"target qubit {target} out of range for {n_qubits}-qubit state")
 
 
 def apply_1q(state: QState, gate: Gate) -> QState:
@@ -366,7 +366,7 @@ def _probabilities(amps: np.ndarray) -> np.ndarray:
 
 def measure_qubit_distribution(state: QState, qubit: int) -> dict[int, float]:
     """Born distribution {0: p0, 1: p1} of one qubit, no collapse."""
-    _check_target(state, qubit)
+    _check_target(state.n_qubits, qubit)
     p = _probabilities(state.amps)
     shaped = p.reshape(-1, 2, 1 << qubit)
     p1 = float(shaped[:, 1, :].sum())
@@ -391,7 +391,7 @@ def collapse_register(state: QState, qubits: Iterable[int], rng: np.random.Gener
     if not qs:
         raise ValueError("collapse_register needs at least one qubit")
     for q in qs:
-        _check_target(state, q)
+        _check_target(state.n_qubits, q)
     values = _outcome_values(state.n_qubits, qs)
     law = np.bincount(values, weights=_probabilities(state.amps), minlength=1 << len(qs))
     law /= law.sum()

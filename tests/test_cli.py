@@ -210,6 +210,19 @@ def test_simulate_parses_measure_before_running_the_program(tmp_path, capsys, mo
     assert err == f'error: --measure must be "all" or a qubit index, got {measure!r}\n'
 
 
+@pytest.mark.parametrize("qubit", ["5", "-1"])
+def test_simulate_checks_the_measured_qubit_before_running_the_program(tmp_path, capsys, monkeypatch, qubit):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the program ran")
+
+    monkeypatch.setattr(cli, "run_program", refuse)
+    source = tmp_path / "h.json"
+    source.write_text(json.dumps({"n": 1, "steps": [{"gate": "H", "targets": [0]}]}))
+    code, out, err = _run(capsys, "simulate", "--program", str(source), "--measure", qubit)
+    assert code == 1 and out == ""
+    assert err == f"error: target qubit {qubit} out of range for 1-qubit state\n"
+
+
 def test_simulate_measure_takes_what_int_takes(tmp_path, capsys):
     source = tmp_path / "h1.json"
     source.write_text(json.dumps({"n": 2, "steps": [{"gate": "H", "targets": [1]}]}))

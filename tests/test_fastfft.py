@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from abelianfft import (
     trivial_subgroup,
     walsh_hadamard,
 )
+from abelianfft import fastfft
 from abelianfft.fastfft import _TowerPlan
 from abelianfft.groups import full_subgroup
 
@@ -233,6 +235,83 @@ def test_writing_into_a_spectrum_leaves_the_next_transform_alone():
     radix, _ = fft_radix2(0, single)
     radix[:] = 0
     assert single[0] == 0.5 + 0.5j
+
+
+@pytest.mark.parametrize("moduli", [(256,), (2,) * 7, (4, 9, 5)], ids=str)
+def test_repeated_group_reuses_its_tower_and_plan_bit_for_bit(moduli):
+    vec = random_vector(prod(moduli), np.random.default_rng(31))
+
+    def transform():
+        group = make_group(list(moduli))
+        return fft_tower(group, build_tower(group), vec)
+
+    fastfft._held_tower.cache_clear()
+    runs = [transform(), transform()]
+    assert fastfft._held_tower.cache_info().hits == 1
+    assert build_tower(make_group(list(moduli))) is build_tower(make_group(list(moduli)))
+    fastfft._held_tower.cache_clear()
+    runs.append(transform())
+    first, report = runs[0]
+    for spectrum, again in runs[1:]:
+        assert spectrum.tobytes() == first.tobytes()
+        assert again == report
+
+
+def test_build_tower_tells_factor_orders_apart():
+    left, right = build_tower(make_group([2, 4])), build_tower(make_group([4, 2]))
+    assert left is not right
+    assert left.group.moduli == (2, 4) and right.group.moduli == (4, 2)
+    vec = random_vector(8, np.random.default_rng(5))
+    for tower in (left, right):
+        out, _ = fft_tower(tower.group, tower, vec)
+        assert np.max(np.abs(out - apply_dense(tower.group, vec))) < 1e-12
+
+
+@pytest.mark.parametrize("moduli, held", [
+    ((1 << 16,), True),  # 2^16 x (16 x 2) = 2^21 entries
+    ((2,) * 16, True),
+    ((1 << 17,), False),
+    ((1447,), True),  # 1447 x 1447 < 2^21
+    ((1453,), False),  # the next prime: 1453 x 1453 > 2^21
+    ((4093,), False),
+])
+def test_build_tower_keeps_only_towers_with_small_plans(moduli, held):
+    group = make_group(list(moduli))
+    fastfft._held_tower.cache_clear()
+    first = build_tower(group)
+    assert (build_tower(group) is first) == held
+    assert fastfft._held_tower.cache_info().currsize == int(held)
+
+
+def test_cached_plan_is_read_only():
+    group = make_group([4, 9, 5])
+    tower = build_tower(group)
+    fft_tower(group, tower, np.ones(group.order))
+    plan = tower._plan
+    arrays = [*plan.reps, *plan.twiddles, *plan.child_class, plan.base_gather, plan.base_table]
+    arrays += [level._indices for level in tower.levels]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+
+
+def test_hand_built_tower_plans_once(monkeypatch):
+    built = []
+
+    class CountedPlan(_TowerPlan):
+        def __init__(self, tower):
+            built.append(tower)
+            super().__init__(tower)
+
+    monkeypatch.setattr(fastfft, "_TowerPlan", CountedPlan)
+    group = make_group([12])
+    tower = SubgroupTower(group, tuple(subgroup_from_generators(group, [(g,)]) for g in (2, 6)))
+    vec = random_vector(group.order, np.random.default_rng(12))
+    first = fft_tower(group, tower, vec)
+    plan = tower._plan
+    second = fft_tower(group, tower, vec)
+    assert tower._plan is plan and built == [tower]
+    assert first[0].tobytes() == second[0].tobytes() and first[1] == second[1]
 
 
 def test_upward_pass_memory_stays_near_one_node():
