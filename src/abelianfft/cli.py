@@ -13,8 +13,8 @@ import numpy as np
 from . import __version__
 from .dense import DENSE_CAP, apply_dense
 from .fastfft import OpCountReport, build_tower, fft_radix2, fft_tower, walsh_hadamard
-from .groups import AbelianGroup, parse_group_spec
-from .period import FunctionTable, _check_mode_order, find_period, two_to_one_table
+from .groups import AbelianGroup, _check_order, parse_group_spec
+from .period import _MODE_CAPS, MODES, FunctionTable, find_period, two_to_one_table
 from .qft_circuit import REORDER_MODES, compile_qft
 from .simulator import (
     STATE_CAP,
@@ -94,10 +94,8 @@ def _run_method(group: AbelianGroup, method: str, vec: np.ndarray) -> tuple[np.n
         return fft_tower(group, build_tower(group), vec)
     if method == "radix2":
         return fft_radix2((group.order - 1).bit_length(), vec)
-    if method == "walsh":
-        n = group.rank
-        return walsh_hadamard(n, vec), OpCountReport(1 << n, n * (1 << n), n * (1 << n))
-    raise ValueError(f"unknown method {method!r}")
+    n = group.rank  # walsh, the one method left
+    return walsh_hadamard(n, vec), OpCountReport(1 << n, n * (1 << n), n * (1 << n))
 
 
 def _cmd_fft(args: argparse.Namespace) -> dict:
@@ -222,7 +220,7 @@ def _cmd_simon(args: argparse.Namespace) -> dict:
     mask = int(args.mask, 2)
     if mask == 0:
         raise ValueError("mask must be nonzero: a two-to-one table needs a nontrivial period")
-    _check_mode_order(1 << n, args.mode)
+    _check_order(1 << n, _MODE_CAPS[args.mode], f"{args.mode}-mode")
     rng = _rng(args.seed)
     table = two_to_one_table(n, mask, rng)
     result = find_period(table, args.shots, rng, mode=args.mode)
@@ -249,12 +247,11 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
         if m not in _METHODS:
             raise ValueError(f"unknown method {m!r} (choose from {', '.join(_METHODS)})")
         _check_method(group, m)
-    if group.order > 1 << STATE_CAP:
-        raise ValueError(f"group order {group.order} exceeds the bench limit 2^{STATE_CAP}")
+    _check_order(group.order, 1 << STATE_CAP, "bench")
     # Bench keeps only the tallies, and dense's are a closed form, but it would still run the
     # O(order^2) transform: hours of it at 2^20.
-    if "dense" in methods and group.order > DENSE_CAP:
-        raise ValueError(f"dense method in bench is limited to order {DENSE_CAP}, got {group.order}")
+    if "dense" in methods:
+        _check_order(group.order, DENSE_CAP, "dense matrix")
     rng = _rng(args.seed)
     vec = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
     vec /= np.linalg.norm(vec)
@@ -302,14 +299,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_period = sub.add_parser("period-find", help="recover the stabiliser of a function table")
     p_period.add_argument("--function", required=True, help='JSON file {"group": ..., "values": [...]}')
     p_period.add_argument("--shots", type=int, default=200, help="sample budget")
-    p_period.add_argument("--mode", choices=("exact", "simulate"), default="exact")
+    p_period.add_argument("--mode", choices=MODES, default="exact")
     common(p_period)
 
     p_simon = sub.add_parser("simon", help="generate a two-to-one table on (Z_2)^n and recover its mask")
     p_simon.add_argument("--n", type=int, required=True, help="number of bits")
     p_simon.add_argument("--mask", required=True, help="period as a bit-string, e.g. 101")
     p_simon.add_argument("--shots", type=int, default=200, help="sample budget")
-    p_simon.add_argument("--mode", choices=("exact", "simulate"), default="exact")
+    p_simon.add_argument("--mode", choices=MODES, default="exact")
     common(p_simon)
 
     p_bench = sub.add_parser("bench", help="operation tallies of each method on one random vector")

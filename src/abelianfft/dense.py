@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, Coords, _characters, _element_coords, character_phases
+from .groups import AbelianGroup, Coords, _characters, _check_order, _element_coords, character_phases
 
 # Largest group order for which the full transform matrix is materialised.
 DENSE_CAP = 4096
@@ -44,10 +44,9 @@ def _cached_entries(moduli: Coords) -> np.ndarray:
     return entries
 
 
-def dense_fourier_matrix(group: AbelianGroup, *, cap: int = DENSE_CAP) -> FourierMatrix:
-    """Materialise the full transform matrix (refuses orders above the cap)."""
-    if group.order > cap:
-        raise ValueError(f"group order {group.order} exceeds the dense matrix cap {cap}")
+def dense_fourier_matrix(group: AbelianGroup) -> FourierMatrix:
+    """Materialise the full transform matrix (refuses orders above DENSE_CAP)."""
+    _check_order(group.order, DENSE_CAP, "dense matrix")
     return FourierMatrix(group, _cached_entries(group.moduli))
 
 

@@ -16,6 +16,12 @@ Indices = int | Sequence[int] | np.ndarray
 MAX_ORDER = 2**63 - 1
 
 
+def _check_order(order: int, cap: int, what: str) -> None:
+    """The one refusal of a group order above a cap, made before anything of that order is built."""
+    if order > cap:
+        raise ValueError(f"group order {order} exceeds the {what} cap {cap}")
+
+
 @dataclass(frozen=True)
 class AbelianGroup:
     """The product Z_m1 x ... x Z_mr with componentwise addition.
@@ -35,9 +41,7 @@ class AbelianGroup:
         for m in self.moduli:
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"modulus {m!r} is not a positive integer")
-        order = prod(self.moduli)
-        if order > MAX_ORDER:
-            raise ValueError(f"group order {order} exceeds the 64-bit index limit {MAX_ORDER}")
+        _check_order(prod(self.moduli), MAX_ORDER, "64-bit index")
 
     @cached_property
     def order(self) -> int:

@@ -48,15 +48,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dense import apply_dense
-from .groups import AbelianGroup, Subgroup, _annihilated, _phases, annihilator
+from .groups import AbelianGroup, Subgroup, _annihilated, _check_order, _phases, annihilator
 from .qft_circuit import GateList, _run_network, compile_qft
-from .simulator import STATE_CAP, _DRAW_BLOCK, QState, _cdf, _draw, _is_int, _probabilities
+from .simulator import (
+    STATE_CAP, _DRAW_BLOCK, _NORM_TOL, QState, _cdf, _check_unit_norm, _draw, _is_int, _probabilities,
+)
 
 # Group order caps for the two sampling routes.
 EXACT_CAP = 4096
 SIMULATE_CAP = 256
 
-MODES = ("exact", "simulate")
+# The one table of sampling modes and their caps.
+_MODE_CAPS = {"exact": EXACT_CAP, "simulate": SIMULATE_CAP}
+MODES = tuple(_MODE_CAPS)
 
 # A reconstruction is accepted once it has survived this many consecutive samples unchanged.
 CONFIRMATION_WINDOW = 10
@@ -182,7 +186,7 @@ def _group_vector(state: QState | Sequence[complex] | np.ndarray, group: Abelian
         return amps
     if amps.ndim == 1 and amps.shape[0] >= group.order:
         tail = amps[group.order :]
-        if not np.max(np.abs(tail), initial=0.0) <= 1e-9:
+        if not np.max(np.abs(tail), initial=0.0) <= _NORM_TOL:
             raise ValueError("padded register has weight outside the group range")
         return amps[: group.order]
     raise ValueError(f"state has length {amps.shape}, expected {group.order} (possibly padded)")
@@ -212,22 +216,15 @@ def _label_law(rows: np.ndarray, group: AbelianGroup, network: GateList | None) 
     # alone: the network's kernels give each row of the stacked buffer the same arithmetic, the
     # dense route transforms one row at a time (a matrix product would round differently), and
     # each law is normalised by its own sum.
-    _check_unit_rows(rows, "group register")
+    _check_unit_norm(rows, "group register")
     if network is not None:
         spectra = _run_network(network, rows)
-        _check_unit_rows(spectra, "state")
+        _check_unit_norm(spectra, "state")
     else:
         spectra = np.stack([apply_dense(group, row) for row in rows])
     probs = np.abs(spectra) ** 2
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
-
-
-def _check_unit_rows(rows: np.ndarray, what: str) -> None:
-    norms = np.linalg.norm(rows, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
-    if len(bad):
-        raise ValueError(f"{what} norm {norms[bad[0]]!r} is not 1")
 
 
 def label_distribution(group: AbelianGroup, stabilizer: Subgroup) -> np.ndarray:
@@ -249,14 +246,6 @@ def reconstruct_subgroup(group: AbelianGroup, labels: Sequence[int]) -> Subgroup
     return annihilator(group, labels)
 
 
-def _check_mode_order(order: int, mode: str) -> None:
-    # Run before anything of the group's order is built, so oversized requests fail without allocating.
-    if mode == "exact" and order > EXACT_CAP:
-        raise ValueError(f"group order {order} exceeds the exact-mode cap {EXACT_CAP}")
-    if mode == "simulate" and order > SIMULATE_CAP:
-        raise ValueError(f"group order {order} exceeds the simulation cap {SIMULATE_CAP}")
-
-
 def find_period(
     f: FunctionTable,
     max_shots: int,
@@ -275,7 +264,7 @@ def find_period(
         if not _is_int(count) or count < 1:
             raise ValueError(f"{what} {count!r} must be a positive integer")
     group = f.group
-    _check_mode_order(group.order, mode)
+    _check_order(group.order, _MODE_CAPS[mode], f"{mode}-mode")
     stabilizer = _nondegenerate_stabilizer(f)
     draw = _label_draws(f, stabilizer, mode, rng)
     labels: list[int] = []

@@ -209,6 +209,20 @@ def cphase(control: int, target: int, exponent: int = 1) -> Gate:
     return Gate(_named_matrix("CPHASE", exponent), (control, target), "CPHASE", exponent)
 
 
+# How far a state's norm may be from 1, and the weight a padded register may hold outside its group.
+_NORM_TOL = 1e-9
+
+
+def _check_unit_norm(amps: np.ndarray, what: str) -> None:
+    """The one unit-norm rule: refuse a state, or a stack of states one per row, whose norm is not
+    1 within _NORM_TOL.  Huge entries overflow the norm to inf or NaN, which fail without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(amps) if amps.ndim == 1 else np.linalg.norm(amps, axis=1)
+    unit = np.abs(norms - 1.0) <= _NORM_TOL
+    if not unit.all():
+        raise ValueError(f"{what} norm {np.ravel(norms)[np.argmin(unit)]!r} is not 1")
+
+
 def _check_width(n_qubits: int) -> None:
     # Run before anything state-sized is allocated.
     if not 1 <= n_qubits <= STATE_CAP:
@@ -227,9 +241,7 @@ class QState:
         amps = np.asarray(self.amps, dtype=np.complex128)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({1 << self.n_qubits},)")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= 1e-9:
-            raise ValueError(f"state norm {norm!r} is not 1")
+        _check_unit_norm(amps, "state")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -355,12 +367,10 @@ def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int | None = None) ->
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:
+    # The amplitudes of a QState, whose norm is already checked.
     p = np.abs(amps)
     p *= p
-    total = p.sum()
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    p /= total
+    p /= p.sum()
     return p
 
 

@@ -236,7 +236,7 @@ def test_criterion_9():
         dev = np.max(np.abs(entries @ entries.conj().T - np.eye(group.order)))
         assert dev < TOL_EXACT_DIST, group.spec_string()
     for order in (128, 256, 512, 1024, 2048, 4096):
-        entries = dense_fourier_matrix(make_group([order]), cap=order).entries
+        entries = dense_fourier_matrix(make_group([order])).entries
         worst = 0.0
         for lo in range(0, order, 512):
             hi = min(lo + 512, order)

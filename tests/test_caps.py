@@ -1,0 +1,67 @@
+"""Every group-order cap, through its public entry point one past the cap: one message form, and
+a refusal before anything of that order is allocated."""
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from abelianfft import DENSE_CAP, STATE_CAP, FunctionTable, dense_fourier_matrix, find_period, make_group
+from abelianfft.cli import main
+from abelianfft.groups import MAX_ORDER
+from abelianfft.period import EXACT_CAP, SIMULATE_CAP
+
+# Built before any measurement: only the refusal of find_period is measured.
+_Z4097_TABLE = FunctionTable(make_group([4097]), tuple(range(4097)))
+_Z257_TABLE = FunctionTable(make_group([257]), tuple(range(257)))
+
+
+def _api(run):
+    def call(capsys) -> str:
+        with pytest.raises(ValueError) as refused:
+            run()
+        return str(refused.value)
+
+    return call
+
+
+def _cli(*argv: str):
+    def call(capsys) -> str:
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        return err[len("error: ") : -1]
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "order, what, cap, call",
+    [
+        pytest.param(2**63, "64-bit index", MAX_ORDER, _api(lambda: make_group([2**62, 2])), id="make_group"),
+        pytest.param(4097, "dense matrix", DENSE_CAP, _api(lambda: dense_fourier_matrix(make_group([4097]))),
+                     id="dense_fourier_matrix"),
+        pytest.param(4097, "exact-mode", EXACT_CAP,
+                     _api(lambda: find_period(_Z4097_TABLE, 10, np.random.default_rng(0))), id="find_period-exact"),
+        pytest.param(257, "simulate-mode", SIMULATE_CAP,
+                     _api(lambda: find_period(_Z257_TABLE, 10, np.random.default_rng(0), mode="simulate")),
+                     id="find_period-simulate"),
+        pytest.param(8192, "exact-mode", EXACT_CAP, _cli("simon", "--n", "13", "--mask", "1000000000000"),
+                     id="simon-exact"),
+        pytest.param(512, "simulate-mode", SIMULATE_CAP,
+                     _cli("simon", "--n", "9", "--mask", "100000000", "--mode", "simulate"), id="simon-simulate"),
+        pytest.param(2**25, "bench", 1 << STATE_CAP, _cli("bench", "--group", "Z2^25", "--methods", "walsh"),
+                     id="bench"),
+        pytest.param(8192, "dense matrix", DENSE_CAP, _cli("bench", "--group", "Z8192"), id="bench-dense"),
+    ],
+)
+def test_every_order_cap_refuses_one_message_before_allocating(order, what, cap, call, capsys):
+    tracemalloc.start()
+    try:
+        message = call(capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message == f"group order {order} exceeds the {what} cap {cap}"
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"

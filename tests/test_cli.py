@@ -594,7 +594,7 @@ def test_bench_refuses_dense_above_the_matrix_cap(monkeypatch, capsys):
     monkeypatch.setattr(cli, "apply_dense", refuse)
     code, out, err = _run(capsys, "bench", "--group", f"Z{2 * DENSE_CAP}")
     assert code == 1 and out == ""
-    assert err == f"error: dense method in bench is limited to order {DENSE_CAP}, got {2 * DENSE_CAP}\n"
+    assert err == f"error: group order {2 * DENSE_CAP} exceeds the dense matrix cap {DENSE_CAP}\n"
     # Without dense the same group runs.
     payload = _run_json(capsys, "bench", "--group", f"Z{2 * DENSE_CAP}", "--methods", "radix2")
     assert payload["order"] == 2 * DENSE_CAP and "radix2" in payload["methods"]

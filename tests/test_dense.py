@@ -117,9 +117,11 @@ def test_streaming_memory_stays_below_the_matrix_it_avoids():
 
 
 def test_dense_matrix_cap():
-    with pytest.raises(ValueError):
-        dense_fourier_matrix(make_group([8192]))
-    dense_fourier_matrix(make_group([8192]), cap=8192)
+    # Refused just above the cap and far above it; nothing above the cap is built.
+    for order in (dense.DENSE_CAP + 1, 8192):
+        refusal = f"^group order {order} exceeds the dense matrix cap {dense.DENSE_CAP}$"
+        with pytest.raises(ValueError, match=refusal):
+            dense_fourier_matrix(make_group([order]))
 
 
 def test_input_validation():

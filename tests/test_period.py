@@ -314,6 +314,13 @@ def test_fourier_sample_rejects_nan():
         fourier_sample(np.full(6, np.nan, dtype=np.complex128), g, 1, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("entry", [1e200, np.inf, complex(np.inf, 1)])
+def test_fourier_sample_refuses_huge_amplitudes_without_a_warning(entry):
+    # The suite turns a RuntimeWarning into an error, so an overflow inside the norm fails here.
+    with pytest.raises(ValueError, match=r"^group register norm .* is not 1$"):
+        fourier_sample(np.array([entry, 0, 0, 0]), make_group([4]), 1, np.random.default_rng(0))
+
+
 def test_reconstruct_subgroup_frozen():
     g6 = make_group([6])
     assert reconstruct_subgroup(g6, [0, 3]).members == (0, 2, 4)

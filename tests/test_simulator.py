@@ -118,8 +118,24 @@ def test_nan_fails_every_tolerance_check():
         Gate(np.diag([1, 1, 1, np.nan]), (0, 1))
     with pytest.raises(ValueError, match=r"norm .*nan.* is not 1"):
         QState(1, np.array([np.nan, 0]))
-    with pytest.raises(ValueError, match=r"probabilities sum to .*nan"):
-        simulator._probabilities(np.array([np.nan, 0], dtype=np.complex128))
+    # Huge entries overflow the norm to inf or NaN: refused, and without a RuntimeWarning.
+    for entry in (1e200, np.inf, complex(np.inf, 1)):
+        with pytest.raises(ValueError, match=r"^state norm .* is not 1$"):
+            QState(1, np.array([entry, 0]))
+
+
+@pytest.mark.parametrize("norm", [1 + 8e-10, 1 - 8e-10])
+def test_every_accepted_state_can_be_measured(norm):
+    # QState accepts a norm within 1e-9 of 1, so measurement must too: it reads the squared norm,
+    # which is twice as far from 1, and normalises it away.
+    state = QState(2, np.array([0.6, 0, 0, 0.8]) * norm)
+    assert abs(np.linalg.norm(state.amps) - norm) < 1e-15
+    dist = measure_qubit_distribution(state, 0)
+    assert abs(dist[1] - 0.64) < 1e-12 and dist[0] + dist[1] == 1.0
+    counts = sample(state, 1000, np.random.default_rng(0))
+    assert set(counts) <= {"00", "11"} and sum(counts.values()) == 1000
+    outcome, post = collapse_register(state, [1], np.random.default_rng(0))
+    assert abs(post.amps[int(outcome) * 3] - 1.0) < 1e-15 and np.count_nonzero(post.amps) == 1
 
 
 def test_new_and_basis_state():
