@@ -6,6 +6,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import asdict
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -264,7 +265,11 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
     }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call of main and shared by every later one: each parse fills a new
+    # Namespace, every default is immutable, usage errors, --help and --version leave through
+    # SystemExit without touching the parser, and help reads the terminal width when it is printed.
     parser = argparse.ArgumentParser(
         prog="abelianfft",
         description="Fourier transforms on finite abelian groups, qubit simulation, and period finding",
@@ -327,8 +332,7 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _emit(_HANDLERS[args.command](args), args)
     except (ValueError, OSError, json.JSONDecodeError) as error:

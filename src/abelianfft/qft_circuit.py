@@ -10,10 +10,11 @@ swaps are deferred into a recorded final wire permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .simulator import Gate, Program, QState, _check_width, _run_gates, cphase, hadamard, swap_gate
+from .simulator import Gate, Program, QState, _check_width, _is_int, _run_gates, cphase, hadamard, swap_gate
 
 REORDER_MODES = ("swaps", "relabel")
 
@@ -50,11 +51,18 @@ class GateList:
 
 
 def compile_qft(m: int, reorder_mode: str = "relabel") -> GateList:
-    """Compile the transform network on m wires, at most the simulator's STATE_CAP."""
+    """Compile the transform network on m wires, at most the simulator's STATE_CAP.  The returned
+    GateList is shared: every call with the same m and mode gets the same immutable network."""
     gate_count(m, reorder_mode)  # checks m and the mode
     # Program refuses such a width; emission is quadratic in m, so refuse it first.
     _check_width(m)
-    # The network on fixed wires, innermost level first.  wire_of[x] is where the content of
+    return _build_network(m, reorder_mode)
+
+
+@cache
+def _build_network(m: int, reorder_mode: str) -> GateList:
+    # Called only with checked inputs, so the cache holds at most STATE_CAP * 2 networks.  The
+    # network on fixed wires, innermost level first.  wire_of[x] is where the content of
     # fixed-network wire x currently lives.  Gates are emitted on the mapped wires; with deferred
     # reordering swaps only update the map.
     gates: list[Gate] = []
@@ -75,7 +83,7 @@ def compile_qft(m: int, reorder_mode: str = "relabel") -> GateList:
 
 def gate_count(m: int, reorder_mode: str = "relabel") -> GateCountReport:
     """Closed-form gate counts: m Hadamards, m(m-1)/2 conditional phases, swaps per mode."""
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"wire count {m!r} must be a positive integer")
     if reorder_mode not in REORDER_MODES:
         raise ValueError(f"reorder mode {reorder_mode!r} not in {REORDER_MODES}")

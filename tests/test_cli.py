@@ -7,10 +7,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 from referencing import Registry, Resource
@@ -143,6 +147,65 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def _outcome(argv) -> tuple[object, str, str]:
+    # Exit code (main's return value or SystemExit's code), stdout and stderr of one in-process call.
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_per_process():
+    cli._build_parser.cache_clear()
+    calls = [
+        ["qft-compile", "--m", "3"],
+        ["no-such-command"],
+        ["--version"],
+        ["bench", "--group", "Z4"],
+        ["fft", "--group", "Z4"],
+        ["simon", "--n", "2", "--mask", "11", "--shots", "20"],
+        ["qft-compile", "--m", "0"],
+    ]
+    codes = [_outcome(argv)[0] for argv in calls]
+    assert codes == [0, 2, 0, 0, 2, 0, 1]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
+def _argv_sequences():
+    # Imported here: test_cli_mutations imports this module.
+    from test_cli_mutations import _argv
+
+    return st.lists(_argv(), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.deferred(_argv_sequences))
+def test_shared_parser_answers_as_a_fresh_one(sequence):
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv))
+    cli._build_parser.cache_clear()
+    assert [_outcome(argv) for argv in sequence] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_help_reflows_when_the_width_changes(monkeypatch):
+    cli._build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = _outcome(["--help"])
+    monkeypatch.setenv("COLUMNS", "160")
+    wide = _outcome(["--help"])
+    assert narrow[0] == wide[0] == 0
+    assert narrow[1] != wide[1]
+    assert len(narrow[1].splitlines()) > len(wide[1].splitlines())
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_module_entry_point_exit_codes():

@@ -21,7 +21,7 @@ from abelianfft import (
     program_to_json,
     run_program,
 )
-from abelianfft.qft_circuit import REORDER_MODES, _run_network
+from abelianfft.qft_circuit import REORDER_MODES, _build_network, _run_network
 from abelianfft.simulator import QState, apply_1q, apply_2q
 
 from test_acceptance import TOL_TRANSFORM
@@ -194,6 +194,68 @@ def test_compile_validation():
         gate_count(0)
     with pytest.raises(ValueError):
         gate_count(3, "neither")
+
+
+def test_compile_refuses_a_bool_wire_count():
+    for m in (True, False):
+        with pytest.raises(ValueError, match=f"wire count {m} must be a positive integer"):
+            compile_qft(m)
+        with pytest.raises(ValueError, match=f"wire count {m} must be a positive integer"):
+            gate_count(m)
+    assert type(compile_qft(1).n_qubits) is int
+
+
+@pytest.mark.parametrize("mode", REORDER_MODES)
+def test_network_is_shared_and_immutable(mode):
+    for m in range(1, 9):
+        compiled = compile_qft(m, mode)
+        assert compile_qft(m, mode) is compiled
+        assert isinstance(compiled.gates, tuple)
+        for gate in compiled.gates:
+            assert not gate.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                gate.matrix[0, 0] = 0
+
+
+@pytest.mark.parametrize("mode", REORDER_MODES)
+def test_shared_network_gives_the_bytes_of_a_fresh_one(mode):
+    rng = np.random.default_rng(500)
+    for m in range(1, 15):
+        rows = _unit_rows(rng, 2, m)
+        state = QState(m, rows[0])
+        cached = compile_qft(m, mode)
+        got = (
+            apply_qft(state).amps.tobytes(),
+            _run_network(cached, rows).tobytes(),
+            json.dumps(program_to_json(cached.to_program()), sort_keys=True),
+        )
+        _build_network.cache_clear()
+        want_qft = apply_qft(state).amps.tobytes()
+        fresh = compile_qft(m, mode)
+        assert fresh is not cached
+        want = (
+            want_qft,
+            _run_network(fresh, rows).tobytes(),
+            json.dumps(program_to_json(fresh.to_program()), sort_keys=True),
+        )
+        assert got == want, m
+
+
+def test_refused_inputs_add_no_network():
+    _build_network.cache_clear()
+    for args in ((0,), (25,), (True,), ("3",), (2.0,), (-1, "swaps"), (3, "neither"), (3, None)):
+        with pytest.raises(ValueError):
+            compile_qft(*args)
+    assert _build_network.cache_info().currsize == 0
+
+
+def test_network_cache_is_bounded_by_the_accepted_inputs():
+    for _ in range(2):
+        for mode in REORDER_MODES:
+            for m in range(1, 25):
+                compile_qft(m, mode)
+    assert _build_network.cache_info().currsize <= 48
+    assert len(compile_qft(24, "swaps").gates) == 576
 
 
 def test_apply_wire_permutation_validation():
