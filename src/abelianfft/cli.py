@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .dense import DENSE_CAP, apply_dense
 from .fastfft import OpCountReport, build_tower, fft_radix2, fft_tower, walsh_hadamard
-from .groups import AbelianGroup, _check_order, parse_group_spec
+from .groups import AbelianGroup, _check_order, _is_int, parse_group_spec
 from .period import _MODE_CAPS, MODES, FunctionTable, find_period, two_to_one_table
 from .qft_circuit import REORDER_MODES, compile_qft
 from .simulator import (
@@ -22,7 +22,6 @@ from .simulator import (
     _cdf,
     _check_target,
     _complex_from_json,
-    _is_int,
     _tally,
     measure_qubit_distribution,
     program_from_json,

@@ -16,6 +16,7 @@ from .groups import (
     _annihilated,
     _characters,
     _element_order,
+    _holds,
     _orbit_min,
     _phases,
     make_group,
@@ -56,8 +57,7 @@ class SubgroupTower:
             if level.order >= previous_order:
                 raise ValueError(f"tower level {depth} does not shrink: {level.order} >= {previous_order}")
             if previous is not None:
-                found = previous[np.minimum(np.searchsorted(previous, level._indices), len(previous) - 1)]
-                if not np.array_equal(found, level._indices):
+                if not _holds(previous, level._indices).all():
                     raise ValueError(f"tower level {depth} is not contained in level {depth - 1}")
             previous_order = level.order
             previous = level._indices
@@ -198,7 +198,7 @@ class _TowerPlan:
             while (pending := trivial_classes[least[trivial_classes] != 0]).size:
                 gen = labels[pending[0]]
                 step = class_of[group._shift(labels, gen)]
-                least = _orbit_min(least, step, min(_element_order(group, int(gen)), index))
+                least = _orbit_min(least, step, min(_element_order(group, gen), index))
                 phase = _phases(group, above_coords, label_coords[pending[0]])
                 coset = phase if coset is None else np.unique(coset * group.lcm + phase, return_inverse=True)[1]
             _, first = np.unique(coset, return_index=True)

@@ -16,6 +16,12 @@ Indices = int | Sequence[int] | np.ndarray
 MAX_ORDER = 2**63 - 1
 
 
+def _is_int(value: object) -> bool:
+    # The one rule for integer arguments, which callers then store as int: a Python or numpy
+    # integer, not a bool (bool subclasses int, and JSON true and false load as bool).
+    return isinstance(value, int) and not isinstance(value, bool) or isinstance(value, np.integer)
+
+
 def _check_order(order: int, cap: int, what: str) -> None:
     """The one refusal of a group order above a cap, made before anything of that order is built."""
     if order > cap:
@@ -34,13 +40,13 @@ class AbelianGroup:
     moduli: Coords
 
     def __post_init__(self) -> None:
-        if not isinstance(self.moduli, tuple):
-            object.__setattr__(self, "moduli", tuple(self.moduli))
-        if len(self.moduli) == 0:
+        moduli = tuple(self.moduli)
+        if len(moduli) == 0:
             raise ValueError("a group needs at least one cyclic factor")
-        for m in self.moduli:
-            if not isinstance(m, int) or m < 1:
+        for m in moduli:
+            if not _is_int(m) or m < 1:
                 raise ValueError(f"modulus {m!r} is not a positive integer")
+        object.__setattr__(self, "moduli", tuple(int(m) for m in moduli))
         _check_order(prod(self.moduli), MAX_ORDER, "64-bit index")
 
     @cached_property
@@ -98,7 +104,7 @@ class AbelianGroup:
         if len(a) != self.rank:
             raise ValueError(f"element {a} has {len(a)} coordinates, expected {self.rank}")
         for x, m in zip(a, self.moduli):
-            if not isinstance(x, (int, np.integer)) or not 0 <= x < m:
+            if not _is_int(x) or not 0 <= x < m:
                 raise ValueError(f"coordinate {x!r} out of range for modulus {m}")
         return tuple(int(x) for x in a)
 
@@ -107,9 +113,9 @@ class AbelianGroup:
         return sum(x * w for x, w in zip(a, self.weights))
 
     def coords_of(self, index: int) -> Coords:
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range for group of order {self.order}")
-        return tuple((index // w) % m for m, w in zip(self.moduli, self.weights))
+        if not _is_int(index) or not 0 <= index < self.order:
+            raise ValueError(f"element index {index!r} out of range for group of order {self.order}")
+        return tuple((int(index) // w) % m for m, w in zip(self.moduli, self.weights))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Coords:
         a = self.validate_coords(a)
@@ -160,11 +166,10 @@ class AbelianGroup:
         """Indices of the sums indices + shift, elementwise with numpy broadcasting.
 
         Computed in index space as indices + shift minus m_i * w_i for every factor i whose
-        coordinates carry (a_i + s_i >= m_i): one gather of coords_table rows per operand, one
-        comparison and one weighted sum, with O(rank) byte-sized temporaries per element.  A
-        group of rank 2 or more builds coords_table on its first call.  Int64 wrap-around in the intermediate sum cancels, so the result is exact for orders up
-        to 2**63 - 1.  Raises ValueError on non-integer or out-of-range indices instead of
-        letting numpy wrap negative ones.
+        coordinates carry (a_i + s_i >= m_i): one read of each operand's coordinates (_coords), one
+        comparison and one weighted sum, with O(rank) byte-sized temporaries per element.  Int64
+        wrap-around in the sum cancels, so the result is exact for orders up to 2**63 - 1.  Raises
+        ValueError on non-integer or out-of-range indices instead of letting numpy wrap them.
         """
         return self._shift(self._checked(indices), self._checked(shift))
 
@@ -253,7 +258,7 @@ def character_eval(group: AbelianGroup, label: Sequence[int], arg: Sequence[int]
 def _element_coords(group: AbelianGroup, element: int | Sequence[int]) -> Coords:
     # The validated coordinates of an element given by index or by coordinate tuple.
     if isinstance(element, (int, np.integer)):
-        return group.coords_of(int(element))
+        return group.coords_of(element)
     return group.validate_coords(element)
 
 
@@ -279,12 +284,6 @@ def character_phases(
     return _phases(group, table, _element_coords(group, label))
 
 
-def _mask_of(group: AbelianGroup, indices: Iterable[int] | np.ndarray) -> np.ndarray:
-    mask = np.zeros(group.order, dtype=bool)
-    mask[np.asarray(indices, dtype=np.int64)] = True
-    return mask
-
-
 def _annihilated(group: AbelianGroup, labels: Iterable[int], elements: np.ndarray | None = None) -> np.ndarray:
     # The elements x (every element by default) with chi_l(x) = 1 for every given label l, in exact
     # integer arithmetic and in their given order.  Each label filters only the survivors so far;
@@ -304,10 +303,9 @@ class Subgroup:
     The members may be passed as any sequence or integer array, in any order and with repeats;
     they are kept sorted and distinct, as a tuple.  Construction checks that they form a
     subgroup: it closes the set under the greedy generators below and rejects it if the closure
-    is larger.  That costs about one translate per member, plus a one-byte mask over the whole
-    group (_mask_of): even a two-element subgroup of Z_(2^28) reserves 256 MiB, and no subgroup
-    of a group of order 2^40 can be built.  The levels of build_tower are subgroups by
-    construction and skip this check (see _built).
+    is larger.  That costs about one translate per member plus one sort per doubling of the
+    closure, in memory that grows with the subgroup's order, not the group's.  The levels of
+    build_tower are subgroups by construction and skip this check (see _built).
     """
 
     parent: AbelianGroup
@@ -321,10 +319,7 @@ class Subgroup:
         idx = self.parent._checked(self.members)
         if not idx.size:
             raise ValueError("a subgroup cannot be empty")
-        # Sort and drop repeats.  np.unique would take its hash path here, which imports numpy.ma
-        # and costs every process about 1.6 MB of resident memory.
-        idx = np.sort(idx)
-        idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+        idx = _sorted_distinct(idx)
         if idx[0] != 0:
             raise ValueError("a subgroup must contain the identity element 0")
         # A finite set closed under addition is a subgroup.  The closure of the greedy generators
@@ -332,12 +327,10 @@ class Subgroup:
         # stops growing once it is, which bounds the work by the set's size.
         gens, closure = _greedy_closure(self.parent, idx, limit=len(idx))
         if len(closure) != len(idx):
-            missing = np.sort(closure[~_mask_of(self.parent, idx)[closure]])[:4].tolist()
+            missing = closure[~_holds(idx, closure)][:4].tolist()
             raise ValueError(f"member set is not closed under addition (missing {missing})")
         idx.setflags(write=False)
-        object.__setattr__(self, "members", tuple(idx.tolist()))
-        object.__setattr__(self, "_generators", tuple(gens))
-        object.__setattr__(self, "_indices", idx)
+        vars(self).update(members=tuple(idx.tolist()), _generators=tuple(gens), _indices=idx)
 
     @classmethod
     def _built(cls, parent: AbelianGroup, members: np.ndarray, generators: tuple[int, ...]) -> Subgroup:
@@ -358,38 +351,44 @@ class Subgroup:
         return self._generators
 
 
-def _extend_closure(
-    group: AbelianGroup, mask: np.ndarray, members: np.ndarray, gen: int, limit: int
-) -> np.ndarray:
-    # Closure of a subgroup H (its mask and member array) and gen: the mask is extended in place
-    # and the extended member array returned.  H + {0 .. 2^s - 1} gen doubles each step until
-    # 2^s gen is already inside, which happens once 2^s reaches the order of gen modulo H; only
-    # the last doubling can overlap what is there.  Stops early once more than `limit` members.
-    step = gen
-    while not mask[step] and len(members) <= limit:
-        # One translate shifts the members and doubles the step.
-        shifted = group.translate(np.append(members, step), step)
+def _sorted_distinct(idx: np.ndarray) -> np.ndarray:
+    # Sorted, repeats dropped: a stable sort merges sorted runs (a closure's and its shift's) in
+    # close to linear time, and np.unique's hash path imports numpy.ma, 1.6 MB for every process.
+    idx = np.sort(idx, kind="stable")
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+
+
+def _holds(members: np.ndarray, x: np.ndarray | np.int64) -> np.ndarray:
+    # Whether each x is in the sorted int64 array members.
+    return members.take(members.searchsorted(x), mode="clip") == x
+
+
+def _extend_closure(group: AbelianGroup, members: np.ndarray, gen: int, limit: int) -> np.ndarray:
+    # The sorted members of the closure of a subgroup H (its sorted members) and gen.
+    # H + {0 .. 2^s - 1} gen doubles each step until 2^s gen is already inside, which happens once
+    # 2^s reaches the order of gen modulo H; only the last doubling can overlap what is there.
+    # Stops early once more than `limit` members.
+    step = np.int64(gen)
+    while not _holds(members, step) and len(members) <= limit:
+        # One shift of checked indices moves the members and doubles the step.
+        shifted = group._shift(np.append(members, step), step)
         step, shifted = shifted[-1], shifted[:-1]
-        shifted = shifted[~mask[shifted]]
-        mask[shifted] = True
-        members = np.concatenate((members, shifted))
+        members = _sorted_distinct(np.concatenate((members, shifted)))
     return members
 
 
-def _greedy_closure(group: AbelianGroup, candidates: np.ndarray, limit: int) -> tuple[list[int], np.ndarray]:
-    # Greedy generators of the sorted candidate indices (each the smallest candidate outside the
-    # closure so far) and the member indices of their closure, unsorted; stops early once the
-    # closure has more than `limit` members.
-    mask = _mask_of(group, [0])
+def _greedy_closure(group: AbelianGroup, pending: np.ndarray, limit: int) -> tuple[list[int], np.ndarray]:
+    # Greedy generators of the sorted candidate indices `pending` (each the smallest candidate
+    # outside the closure so far) and the sorted member indices of their closure; stops early once
+    # the closure has more than `limit` members.
     closure = np.zeros(1, dtype=np.int64)
     gens: list[int] = []
-    pending = candidates
     while len(closure) <= limit:
-        pending = pending[~mask[pending]]
+        pending = pending[~_holds(closure, pending)]
         if not pending.size:
             break
         gens.append(int(pending[0]))
-        closure = _extend_closure(group, mask, closure, gens[-1], limit)
+        closure = _extend_closure(group, closure, gens[-1], limit)
     return gens, closure
 
 
@@ -466,24 +465,22 @@ def annihilator(group: AbelianGroup, elements: Subgroup | Iterable[int]) -> Subg
             raise ValueError("subgroup belongs to a different group")
         idxs: Iterable[int] = elements.generators()
     else:
-        idxs = sorted(set(int(i) for i in elements))
+        idxs = sorted(set(elements))
     return Subgroup(group, _annihilated(group, idxs))
 
 
 def enumerate_subgroups(group: AbelianGroup) -> list[Subgroup]:
     """Every subgroup, found by closure extension layer by layer.  Desk-scale orders only."""
     trivial = trivial_subgroup(group)
-    seen: dict[bytes, Subgroup] = {_mask_of(group, [0]).tobytes(): trivial}
+    seen: dict[bytes, Subgroup] = {trivial._indices.tobytes(): trivial}
     frontier = [trivial]
     while frontier:
         next_frontier: list[Subgroup] = []
         for sub in frontier:
-            base = _mask_of(group, sub._indices)
             # The closure of H and g depends only on g + H: one element per other coset suffices.
             for g in coset_decompose(group, sub).representatives[1:]:
-                closure = base.copy()
-                members = _extend_closure(group, closure, sub._indices, g, limit=group.order)
-                key = closure.tobytes()
+                members = _extend_closure(group, sub._indices, g, limit=group.order)
+                key = members.tobytes()
                 if key not in seen:
                     bigger = Subgroup(group, members)
                     seen[key] = bigger

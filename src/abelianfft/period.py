@@ -48,10 +48,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dense import apply_dense
-from .groups import AbelianGroup, Subgroup, _annihilated, _check_order, _phases, annihilator
+from .groups import AbelianGroup, Subgroup, _annihilated, _check_order, _is_int, _phases, annihilator
 from .qft_circuit import GateList, _run_network, compile_qft
 from .simulator import (
-    STATE_CAP, _DRAW_BLOCK, _NORM_TOL, QState, _cdf, _check_unit_norm, _draw, _is_int, _probabilities,
+    STATE_CAP, _DRAW_BLOCK, _NORM_TOL, QState, _cdf, _check_unit_norm, _draw, _probabilities,
 )
 
 # Group order caps for the two sampling routes.
@@ -204,10 +204,10 @@ def fourier_sample(
     rng: np.random.Generator,
 ) -> list[int]:
     """Transform the group register and read it: a list of label indices."""
-    if shots < 1:
-        raise ValueError(f"shot count {shots} must be positive")
+    if not _is_int(shots) or shots < 1:
+        raise ValueError(f"shot count {shots!r} must be a positive integer")
     law = _label_law(_group_vector(coset_state, group)[None], group, _network(group))[0]
-    return _draw(rng, _cdf(law), shots).tolist()
+    return _draw(rng, _cdf(law), int(shots)).tolist()
 
 
 def _label_law(rows: np.ndarray, group: AbelianGroup, network: GateList | None) -> np.ndarray:
@@ -263,6 +263,7 @@ def find_period(
     for what, count in (("shot budget", max_shots), ("window", window)):
         if not _is_int(count) or count < 1:
             raise ValueError(f"{what} {count!r} must be a positive integer")
+    max_shots, window = int(max_shots), int(window)
     group = f.group
     _check_order(group.order, _MODE_CAPS[mode], f"{mode}-mode")
     stabilizer = _nondegenerate_stabilizer(f)

@@ -14,7 +14,8 @@ from functools import cache
 
 import numpy as np
 
-from .simulator import Gate, Program, QState, _check_width, _is_int, _run_gates, cphase, hadamard, swap_gate
+from .groups import _is_int
+from .simulator import Gate, Program, QState, _check_width, _run_gates, cphase, hadamard, swap_gate
 
 REORDER_MODES = ("swaps", "relabel")
 
@@ -56,7 +57,7 @@ def compile_qft(m: int, reorder_mode: str = "relabel") -> GateList:
     gate_count(m, reorder_mode)  # checks m and the mode
     # Program refuses such a width; emission is quadratic in m, so refuse it first.
     _check_width(m)
-    return _build_network(m, reorder_mode)
+    return _build_network(int(m), reorder_mode)
 
 
 @cache
@@ -85,6 +86,7 @@ def gate_count(m: int, reorder_mode: str = "relabel") -> GateCountReport:
     """Closed-form gate counts: m Hadamards, m(m-1)/2 conditional phases, swaps per mode."""
     if not _is_int(m) or m < 1:
         raise ValueError(f"wire count {m!r} must be a positive integer")
+    m = int(m)
     if reorder_mode not in REORDER_MODES:
         raise ValueError(f"reorder mode {reorder_mode!r} not in {REORDER_MODES}")
     hs = m

@@ -36,6 +36,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .groups import _is_int
+
 # Hard cap on register width: 2^24 amplitudes.
 STATE_CAP = 24
 
@@ -149,11 +151,6 @@ def _shared(name: str, exponent: int) -> np.ndarray:
     return matrix
 
 
-def _is_int(value: object) -> bool:
-    # A Python int, not a bool: bool is a subclass of int, and JSON true and false load as bool.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Gate:
     """A 1- or 2-qubit unitary bound to target wires: a named gate carries its name's shared matrix,
@@ -168,6 +165,8 @@ class Gate:
         if self.name is not None:
             if self.matrix is not _named_matrix(self.name, self.param):
                 raise ValueError(f"a gate named {self.name} must carry the shared {self.name} matrix")
+            if self.param is not None:
+                object.__setattr__(self, "param", int(self.param))
         elif self.param is not None:
             raise ValueError(f"a gate with no name takes no param, got {self.param!r}")
         else:
@@ -176,11 +175,12 @@ class Gate:
             _check_unitary(matrix)
             matrix.setflags(write=False)
             object.__setattr__(self, "matrix", matrix)
-        targets = tuple(int(t) for t in self.targets)
+        targets = tuple(self.targets)
+        if not all(map(_is_int, targets)) or len(set(targets)) != len(targets):
+            raise ValueError(f"gate targets {targets!r} must be distinct integers")
+        targets = tuple(map(int, targets))
         if len(targets) != self.arity:
             raise ValueError(f"{self.arity}-qubit gate lists targets {targets}")
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"gate targets {targets} must be distinct")
         object.__setattr__(self, "targets", targets)
 
     @property
@@ -265,8 +265,8 @@ def basis_state(n_qubits: int, index: int) -> QState:
 
 
 def _check_target(n_qubits: int, target: int) -> None:
-    if not 0 <= target < n_qubits:
-        raise ValueError(f"target qubit {target} out of range for {n_qubits}-qubit state")
+    if not _is_int(target) or not 0 <= target < n_qubits:
+        raise ValueError(f"target qubit {target!r} out of range for {n_qubits}-qubit state")
 
 
 def apply_1q(state: QState, gate: Gate) -> QState:
@@ -397,11 +397,12 @@ def _outcome_values(n: int, qubits: Sequence[int]) -> np.ndarray:
 def collapse_register(state: QState, qubits: Iterable[int], rng: np.random.Generator) -> tuple[str, QState]:
     """Measure the given qubits; returns the outcome bit-string (highest listed qubit first)
     and the renormalised conditional state with the observed bits fixed in place."""
-    qs = sorted(set(int(q) for q in qubits), reverse=True)
-    if not qs:
-        raise ValueError("collapse_register needs at least one qubit")
+    qs = list(qubits)
     for q in qs:
         _check_target(state.n_qubits, q)
+    qs = sorted({int(q) for q in qs}, reverse=True)
+    if not qs:
+        raise ValueError("collapse_register needs at least one qubit")
     values = _outcome_values(state.n_qubits, qs)
     law = np.bincount(values, weights=_probabilities(state.amps), minlength=1 << len(qs))
     law /= law.sum()
@@ -412,9 +413,9 @@ def collapse_register(state: QState, qubits: Iterable[int], rng: np.random.Gener
 
 def sample(state: QState, shots: int, rng: np.random.Generator) -> dict[str, int]:
     """Draw shots full-register outcomes; returns only the outcomes that occurred."""
-    if shots < 1:
-        raise ValueError(f"shot count {shots} must be positive")
-    tally = _tally(rng, _cdf(_probabilities(state.amps)), shots)
+    if not _is_int(shots) or shots < 1:
+        raise ValueError(f"shot count {shots!r} must be a positive integer")
+    tally = _tally(rng, _cdf(_probabilities(state.amps)), int(shots))
     n = state.n_qubits
     return {format(i, f"0{n}b"): c for i, c in tally.items()}
 

@@ -5,6 +5,7 @@ Parseval identity and shift duality, the stabiliser route against the brute-forc
 nondegeneracy check against the coset table on arbitrary subgroups."""
 from __future__ import annotations
 
+import re
 from math import prod
 
 import numpy as np
@@ -101,6 +102,75 @@ def test_closure_matches_set_closure(case):
         closure |= frontier
     subgroup = subgroup_from_generators(group, [group.coords_of(g) for g in gens])
     assert subgroup.members == tuple(sorted(closure))
+
+
+def _coords(group, indices):
+    return np.stack(np.unravel_index(np.asarray(indices, dtype=np.int64), group.moduli), axis=-1)
+
+
+def _index(group, coords):
+    return np.ravel_multi_index(tuple(np.moveaxis(coords % np.array(group.moduli), -1, 0)), group.moduli)
+
+
+def _generated(group, elements) -> set[int]:
+    # The subgroup the elements generate, one cyclic subgroup at a time in coordinate arithmetic:
+    # H + <s> is H + {0, s, ..., (j - 1)s} for the least j >= 1 with js in H.
+    closed = np.zeros(1, dtype=np.int64)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[0] = True
+    for s in elements:
+        if not inside[s]:
+            multiples = np.arange(group.order + 1)[:, None] * _coords(group, s)
+            j = 1 + int(np.argmax(inside[_index(group, multiples[1:])]))
+            closed = _index(group, _coords(group, closed)[:, None, :] + multiples[:j]).ravel()
+            inside[closed] = True
+    return set(closed.tolist())
+
+
+@st.composite
+def member_sets(draw):
+    # A group of order at most 4096 and a set S that contains 0: the subgroup that a few elements
+    # generate, with some random elements added or some removed, or just those elements.  Each
+    # coordinate of the generating elements is a multiple of a divisor d < m of its modulus m, so
+    # proper subgroups of many orders come up, not only the trivial one and the whole group.
+    moduli: list[int] = []
+    for _ in range(draw(st.integers(1, 3))):
+        moduli.append(draw(st.integers(1, 4096 // prod(moduli, start=1))))
+    group = make_group(moduli)
+    coordinates = []
+    for m in moduli:
+        d = draw(st.sampled_from([d for d in range(1, m) if m % d == 0] or [1]))
+        coordinates.append(st.integers(0, m // d - 1).map(lambda r, d=d: r * d))
+    elements = [group.index_of(e) for e in draw(st.lists(st.tuples(*coordinates), min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        elements = sorted(_generated(group, elements))
+    added = draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+    removed = set(draw(st.lists(st.sampled_from(elements), max_size=2)))
+    return group, sorted({0, *added} | set(elements) - (removed - {0}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(member_sets())
+def test_subgroup_accepts_exactly_the_sets_closed_under_addition(case):
+    group, members = case
+    inside = np.zeros(group.order, dtype=bool)
+    inside[members] = True
+    coords = _coords(group, members)
+    # S + S, a block of rows of the pair table at a time.
+    block = max(1, 2**18 // len(members))
+    closed = all(
+        inside[_index(group, coords[i : i + block, None, :] + coords)].all() for i in range(0, len(members), block)
+    )
+    try:
+        subgroup = Subgroup(group, members[::-1])
+    except ValueError as err:
+        listed = [int(x) for x in re.fullmatch(r".*\(missing \[(.*)\]\)", str(err)).group(1).split(", ")]
+        assert not closed
+        assert 1 <= len(listed) <= 4
+        assert set(listed) <= _generated(group, members) - set(members)
+    else:
+        assert closed
+        assert subgroup.members == tuple(members)
 
 
 @_SETTINGS

@@ -1,6 +1,7 @@
 """Group plumbing: indexing, characters, subgroups, cosets, annihilators."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,14 @@ def test_make_group_rejects_bad_moduli():
         make_group([2, -3])
     with pytest.raises(ValueError):
         make_group([2**40, 2**40])
+    with pytest.raises(ValueError, match="modulus True is not a positive integer"):
+        make_group([True, 4])
+    with pytest.raises(ValueError, match="modulus 2.0 is not a positive integer"):
+        make_group([2.0])
+    # Numpy integers are moduli too, stored as int.
+    g = make_group(np.array([4, 6]))
+    assert g == make_group([4, 6]) and all(type(m) is int for m in g.moduli)
+    assert g.spec_string() == "Z4xZ6"
 
 
 def test_coords_validation():
@@ -164,6 +173,13 @@ def test_coords_validation():
         g.index_of((1, 0))
     with pytest.raises(ValueError):
         g.coords_of(4)
+    h = make_group([4, 6])
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="element index"):
+            h.coords_of(bad)
+    with pytest.raises(ValueError):
+        h.index_of((True, 1))
+    assert h.coords_of(np.int64(7)) == (1, 1) and all(type(c) is int for c in h.coords_of(np.int64(7)))
 
 
 def test_parse_group_spec():
@@ -266,7 +282,31 @@ def test_subgroup_check_stops_once_the_closure_outgrows_the_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "build, members",
+    [
+        (lambda: Subgroup(make_group([2**28]), [0, 2**27]), (0, 2**27)),
+        (lambda: trivial_subgroup(make_group([2**40])), (0,)),
+        (lambda: Subgroup(make_group([2**40]), [0, 3]), "missing [6, 9]"),
+    ],
+    ids=["order 2 in Z_(2^28)", "trivial in Z_(2^40)", "refused in Z_(2^40)"],
+)
+def test_subgroup_memory_follows_its_own_order(build, members):
+    # A subgroup is built, or refused, in memory that grows with its own size, not the group's.
+    tracemalloc.start()
+    try:
+        if isinstance(members, str):
+            with pytest.raises(ValueError, match=re.escape(members)):
+                build()
+        else:
+            assert build().members == members
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_subgroup_from_generators():

@@ -30,7 +30,7 @@ from abelianfft import (
     sample,
     swap_gate,
 )
-from abelianfft import simulator
+from abelianfft import FunctionTable, compile_qft, find_period, fourier_sample, make_group, simulator
 from abelianfft.simulator import STATE_CAP
 
 from test_acceptance import TOL_KRON
@@ -696,3 +696,50 @@ def test_raw_product_allocates_nothing_state_sized_given_its_workspace():
         tracemalloc.stop()
     assert peak < 4096, f"peak {peak} bytes"
     assert np.array_equal(amps, want)
+
+
+_PERIOD_3 = FunctionTable(make_group([12]), tuple(i % 3 for i in range(12)))
+
+
+@pytest.mark.parametrize(
+    "call, refusal, want",
+    [
+        (lambda rng: Gate(hadamard(0).matrix, (1.7,), "H"), "gate targets", None),
+        (lambda rng: Gate(hadamard(0).matrix, ("1",), "H"), "gate targets", None),
+        (lambda rng: Gate(hadamard(0).matrix, (True,), "H"), "gate targets", None),
+        (lambda rng: collapse_register(new_state(2), [1.5], rng), "target qubit 1.5", None),
+        (lambda rng: sample(new_state(2), 2.5, rng), "shot count", None),
+        (lambda rng: sample(new_state(2), True, rng), "shot count", None),
+        (lambda rng: fourier_sample(np.full(4, 0.5), make_group([4]), True, rng), "shot count", None),
+        (lambda rng: fourier_sample(np.full(4, 0.5), make_group([4]), 2.5, rng), "shot count", None),
+        (lambda rng: Gate(hadamard(0).matrix, (np.int64(1),), "H").targets, None, (1,)),
+        (lambda rng: collapse_register(new_state(2), [np.int64(1)], rng)[0], None, "0"),
+        (lambda rng: sample(new_state(2), np.int64(3), rng), None, {"00": 3}),
+        (lambda rng: fourier_sample(np.full(4, 0.5), make_group([4]), np.int64(2), rng), None, [0, 0]),
+        (lambda rng: find_period(_PERIOD_3, np.int64(200), rng).subgroup.members, None, (0, 3, 6, 9)),
+        (lambda rng: cphase(0, 1, np.int64(2)).param, None, 2),
+        (
+            lambda rng: json.loads(json.dumps(program_to_json(Program(2, (cphase(0, 1, np.int64(2)),))))),
+            None,
+            {"n": 2, "steps": [{"targets": [0, 1], "gate": "CPHASE", "param": 2}]},
+        ),
+        (lambda rng: compile_qft(np.int64(3)).n_qubits, None, 3),
+    ],
+    ids=[
+        "gate target float", "gate target str", "gate target bool", "collapse qubit float",
+        "sample shots float", "sample shots bool", "fourier shots bool", "fourier shots float",
+        "gate target int64", "collapse qubit int64", "sample shots int64", "fourier shots int64",
+        "find_period budget int64", "cphase exponent int64", "cphase exponent to JSON", "compile_qft int64",
+    ],
+)
+def test_integer_arguments_follow_one_rule(call, refusal, want):
+    # Python and numpy integers are accepted and stored as int; bools, floats and strings are
+    # refused with a ValueError that names the argument.
+    rng = np.random.default_rng(0)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=refusal):
+            call(rng)
+    else:
+        got = call(rng)
+        # json.dumps refuses numpy integers, so this also checks that plain ints came back.
+        assert got == want and json.dumps(got) == json.dumps(want)
