@@ -17,6 +17,7 @@ from .groups import (
     _characters,
     _element_order,
     _holds,
+    _is_int,
     _orbit_min,
     _phases,
     make_group,
@@ -305,8 +306,9 @@ def fft_radix2(n: int, f: Sequence[complex] | np.ndarray) -> tuple[np.ndarray, O
     contiguous blocks, and its butterflies back into the first, so the
     caller's array is only read.
     """
-    if n < 0:
-        raise ValueError(f"qubit count {n} must be nonnegative")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"qubit count {n!r} must be a nonnegative integer")
+    n = int(n)
     vec = _as_vector(f, 1 << n)
     data = vec.reshape((2,) * n).transpose().flatten()
     scaled = np.empty_like(data)
@@ -334,8 +336,8 @@ def walsh_hadamard(n: int, f: Sequence[complex] | np.ndarray) -> np.ndarray:
     does, with the same adds; after n stages every bit is back in place.  The stages alternate
     between two buffers and write contiguously, so the caller's array is only read.
     """
-    if n < 0:
-        raise ValueError(f"bit count {n} must be nonnegative")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"bit count {n!r} must be a nonnegative integer")
     vec = _as_vector(f, 1 << n)
     buffers = [np.empty_like(vec) for _ in range(min(n, 2))]
     half = vec.size // 2

@@ -257,9 +257,9 @@ def character_eval(group: AbelianGroup, label: Sequence[int], arg: Sequence[int]
 
 def _element_coords(group: AbelianGroup, element: int | Sequence[int]) -> Coords:
     # The validated coordinates of an element given by index or by coordinate tuple.
-    if isinstance(element, (int, np.integer)):
-        return group.coords_of(element)
-    return group.validate_coords(element)
+    if isinstance(element, Sequence) or np.ndim(element):
+        return group.validate_coords(element)
+    return group.coords_of(element)
 
 
 def _phases(group: AbelianGroup, args: np.ndarray, labels: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -327,10 +327,11 @@ def _label_draws(
 
 def two_to_one_table(n: int, mask: int, rng: np.random.Generator) -> FunctionTable:
     """A random nondegenerate two-to-one table on (Z_2)^n with f(x) = f(x XOR mask)."""
-    if n < 1:
-        raise ValueError(f"bit count {n} must be positive")
-    if not 0 < mask < (1 << n):
-        raise ValueError(f"mask {mask} must be a nonzero {n}-bit value")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"bit count {n!r} must be a positive integer")
+    if not _is_int(mask) or not 0 < mask < (1 << n):
+        raise ValueError(f"mask {mask!r} must be a nonzero {n}-bit value")
+    n, mask = int(n), int(mask)
     relabel = rng.permutation(1 << (n - 1))
     x = np.arange(1 << n)
     # Each pair {x, x ^ mask} is numbered by the rank of its smaller member among all smaller members.

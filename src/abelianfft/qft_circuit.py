@@ -98,7 +98,7 @@ def gate_count(m: int, reorder_mode: str = "relabel") -> GateCountReport:
 def apply_wire_permutation(state: QState, permutation: tuple[int, ...]) -> QState:
     """Reorder wires so that output bit x is read from wire permutation[x]."""
     n = state.n_qubits
-    if sorted(permutation) != list(range(n)):
+    if not all(map(_is_int, permutation)) or sorted(permutation) != list(range(n)):
         raise ValueError(f"{permutation!r} is not a permutation of 0..{n - 1}")
     return QState(n, _permuted(state.amps[None], permutation)[0].flatten())
 

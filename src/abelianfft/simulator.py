@@ -11,7 +11,9 @@ buffer in a `QState`.  Each gate runs on a strided view with one leading axis
 per target wire:
 
 - a 2x2 matrix (H or raw) is a butterfly over the amplitude pairs;
-- X, CNOT and SWAP exchange two index slices;
+- X and CNOT exchange two index slices;
+- SWAP relabels its two wires and moves no amplitude; a run restores the layout at its end
+  with at most n - 1 exchanges of two wires;
 - CPHASE multiplies the quarter of the amplitudes with both target bits set;
 - a raw 4x4 matrix gathers the (4, -1) reshape of the view into the first half
   of the run's workspace, zgemm writes the product into its second half, and
@@ -223,10 +225,11 @@ def _check_unit_norm(amps: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} norm {np.ravel(norms)[np.argmin(unit)]!r} is not 1")
 
 
-def _check_width(n_qubits: int) -> None:
-    # Run before anything state-sized is allocated.
-    if not 1 <= n_qubits <= STATE_CAP:
-        raise ValueError(f"qubit count {n_qubits} outside [1, {STATE_CAP}]")
+def _check_width(n_qubits: int) -> int:
+    # Run before anything state-sized is allocated; returns the width as int.
+    if not _is_int(n_qubits) or not 1 <= n_qubits <= STATE_CAP:
+        raise ValueError(f"qubit count {n_qubits!r} outside [1, {STATE_CAP}]")
+    return int(n_qubits)
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,7 @@ class QState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_width(self.n_qubits)
+        object.__setattr__(self, "n_qubits", _check_width(self.n_qubits))
         amps = np.asarray(self.amps, dtype=np.complex128)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({1 << self.n_qubits},)")
@@ -258,10 +261,10 @@ def new_state(n_qubits: int) -> QState:
 
 
 def basis_state(n_qubits: int, index: int) -> QState:
-    _check_width(n_qubits)
-    if not 0 <= index < (1 << n_qubits):
-        raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
-    return QState(n_qubits, _basis_amps(n_qubits, index))
+    n_qubits = _check_width(n_qubits)
+    if not _is_int(index) or not 0 <= index < (1 << n_qubits):
+        raise ValueError(f"basis index {index!r} out of range for {n_qubits} qubits")
+    return QState(n_qubits, _basis_amps(n_qubits, int(index)))
 
 
 def _check_target(n_qubits: int, target: int) -> None:
@@ -292,7 +295,7 @@ class Program:
     steps: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        _check_width(self.n_qubits)
+        object.__setattr__(self, "n_qubits", _check_width(self.n_qubits))
         object.__setattr__(self, "steps", tuple(self.steps))
         for pos, gate in enumerate(self.steps):
             for t in gate.targets:
@@ -315,13 +318,22 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
 
 def _run_gates(amps: np.ndarray, gates: Iterable[Gate]) -> None:
     """Run the gates in order on a writable amplitude buffer, in place, by the kernel each gate's
-    name picks: CPHASE the phase, X, CNOT and SWAP the exchange, other 2x2 gates the blocked
-    butterfly, raw 4x4 gates the product into one workspace made at the first of them.  B stacked
-    2^n-amplitude states each run as they would alone: every kernel works on its target bits only,
-    with the same arithmetic on each amplitude."""
+    name picks: CPHASE the phase, X and CNOT the exchange, other 2x2 gates the blocked butterfly,
+    raw 4x4 gates the product into one workspace made at the first of them.  A SWAP moves no
+    amplitude: it relabels its two wires, and every later gate runs on the wires its targets now
+    live on.  After the last gate each cycle of displaced wires is put back by exchanges, at most
+    n - 1 in all, so the buffer ends as a SWAP-by-SWAP run leaves it.  B stacked 2^n-amplitude
+    states each run as they would alone: every kernel works on its target bits only, with the
+    same arithmetic on each amplitude, and only wires below n are relabelled."""
     workspace = None
+    # wire_of[w] is the wire that holds the content of wire w, for every wire a SWAP has moved.
+    wire_of: dict[int, int] = {}
     for gate in gates:
-        view = _wire_view(amps, gate.targets)
+        targets = tuple([wire_of.get(t, t) for t in gate.targets]) if wire_of else gate.targets
+        if gate.name == "SWAP":
+            wire_of[gate.targets[0]], wire_of[gate.targets[1]] = targets[1], targets[0]
+            continue
+        view = _wire_view(amps, targets)
         exchanged = _NAMED.get(gate.name, (None, None))[1]
         if gate.name == "CPHASE":
             _phase(view, gate.matrix[3, 3])
@@ -333,6 +345,12 @@ def _run_gates(amps: np.ndarray, gates: Iterable[Gate]) -> None:
             if workspace is None:
                 workspace = np.empty(2 * amps.size, dtype=np.complex128)
             _product(view, gate.matrix, workspace)
+    for w in wire_of:
+        while wire_of[w] != w:
+            # Exchanging wire p, which holds w, with the wire that holds p puts p home.
+            p = wire_of[w]
+            wire_of[w], wire_of[p] = wire_of[p], p
+            _exchange(_wire_view(amps, (p, wire_of[w])), *_NAMED["SWAP"][1])
 
 
 # Generator.choice accepts a law whose sum is this far from 1.

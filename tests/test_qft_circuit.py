@@ -124,6 +124,15 @@ def test_reorder_modes_agree(m):
     assert np.max(np.abs(swapped.amps - relabeled.amps)) < 1e-12
 
 
+@pytest.mark.parametrize("m", range(1, 15))
+def test_swaps_network_equals_apply_qft_bit_for_bit(m):
+    rng = np.random.default_rng(100 + m)
+    amps = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    state = QState(m, amps / np.linalg.norm(amps))
+    swapped = run_program(compile_qft(m, "swaps").to_program(), state)
+    assert swapped.amps.tobytes() == apply_qft(state).amps.tobytes()
+
+
 @pytest.mark.parametrize("m", range(2, 9))
 def test_cphase_only_accumulation(m):
     # the outermost level's conditional phases alone send odd |j> to w^(j//2) |j>

@@ -30,7 +30,19 @@ from abelianfft import (
     sample,
     swap_gate,
 )
-from abelianfft import FunctionTable, compile_qft, find_period, fourier_sample, make_group, simulator
+from abelianfft import (
+    FunctionTable,
+    apply_wire_permutation,
+    compile_qft,
+    fft_radix2,
+    find_period,
+    fourier_basis_state,
+    fourier_sample,
+    make_group,
+    simulator,
+    two_to_one_table,
+    walsh_hadamard,
+)
 from abelianfft.simulator import STATE_CAP
 
 from test_acceptance import TOL_KRON
@@ -646,6 +658,97 @@ def test_top_wire_gates_need_no_state_sized_temporary():
         assert abs(final.amps[index] - amp) < 1e-15
 
 
+def _fold_steps(program, initial):
+    # One apply_1q or apply_2q call per step: each is a one-step program, so a lone SWAP is one exchange.
+    state = initial
+    for gate in program.steps:
+        state = (apply_1q if gate.arity == 1 else apply_2q)(state, gate)
+    return state
+
+
+@st.composite
+def _swap_heavy_programs(draw):
+    # Programs on 1..8 wires whose gates of every kind, in either target order, fall among runs of
+    # SWAPs, and a random start state.
+    n = draw(st.integers(1, 8))
+    kinds = _ONE_QUBIT_KINDS + (_TWO_QUBIT_KINDS + ("SWAP run",) if n > 1 else ())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=20)):
+        if kind == "SWAP run":
+            orders = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3 * n))
+            steps += [swap_gate(*order[:2]) for order in orders]
+        else:
+            wires = tuple(draw(st.permutations(range(n)))[: 1 if kind in _ONE_QUBIT_KINDS else 2])
+            steps.append(_gate_and_oracle(kind, wires, draw(st.integers(1, 6)), rng)[0])
+    return Program(n, tuple(steps)), _random_state(n, rng)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_swap_heavy_programs())
+def test_relabelled_run_equals_gate_by_gate_runs(case):
+    # run_program relabels wires at each SWAP and restores them at its end; one call per step
+    # moves the amplitudes at every SWAP.  Both must give the same bytes.
+    program, initial = case
+    assert run_program(program, initial).amps.tobytes() == _fold_steps(program, initial).amps.tobytes()
+
+
+def test_raw_gates_on_low_wires_after_a_swap_stretch_equal_gate_by_gate_runs():
+    n = 14
+    rng = np.random.default_rng(77)
+    stretch = [swap_gate(a, a + 1) for a in range(n - 1)] + [swap_gate(0, 7), swap_gate(n - 1, 2)]
+    raw = [Gate(random_unitary(4, rng), pair) for pair in ((1, 0), (0, 2), (3, 1), (2, 5))]
+    raw += [Gate(random_unitary(2, rng), (0,)), Gate(random_unitary(2, rng), (n - 1,))]
+    program = Program(n, tuple(stretch + raw + stretch[::-1] + [cnot(0, n - 1), hadamard(1)]))
+    initial = _random_state(n, rng)
+    assert run_program(program, initial).amps.tobytes() == _fold_steps(program, initial).amps.tobytes()
+
+
+@pytest.fixture
+def exchanges(monkeypatch):
+    # Every call of the exchange kernel, counted.
+    calls = []
+    exchange = simulator._exchange
+
+    def counted(*args):
+        calls.append(args)
+        exchange(*args)
+
+    monkeypatch.setattr(simulator, "_exchange", counted)
+    return calls
+
+
+def test_swaps_cost_at_most_n_minus_1_exchanges(exchanges):
+    run_program(compile_qft(14, "swaps").to_program())
+    assert len(exchanges) <= 13
+    rng = np.random.default_rng(78)
+    for n, k in ((2, 1), (2, 7), (5, 40), (9, 100)):
+        exchanges.clear()
+        pairs = [tuple(int(w) for w in rng.choice(n, 2, replace=False)) for _ in range(k)]
+        run_program(Program(n, tuple(swap_gate(*pair) for pair in pairs)), _random_state(n, rng))
+        assert len(exchanges) <= n - 1
+
+
+def test_swap_stretch_needs_no_state_sized_temporary(exchanges):
+    n = 22
+    initial = basis_state(n, 1 << (n - 1))
+    size = initial.amps.nbytes
+    # A full rotation: wire 0's content climbs to wire 21 and every other wire's moves down one.
+    stretch = [swap_gate(a, a + 1) for a in range(n - 1)]
+    program = Program(n, tuple(stretch[:11] + [hadamard(0)] + stretch[11:]))
+    tracemalloc.start()
+    try:
+        final = run_program(program, initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size + 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert len(exchanges) == n - 1
+    # The H acts on wire 0 after the stretch has left it; the set bit moves from wire 21 to wire 20.
+    assert np.count_nonzero(final.amps) == 2
+    assert final.amps[1 << (n - 2)] == final.amps[(1 << (n - 2)) | 1] == 1 / np.sqrt(2)
+
+
 def _digest(amps):
     return hashlib.sha256(amps.tobytes()).hexdigest()[:16]
 
@@ -724,12 +827,40 @@ _PERIOD_3 = FunctionTable(make_group([12]), tuple(i % 3 for i in range(12)))
             {"n": 2, "steps": [{"targets": [0, 1], "gate": "CPHASE", "param": 2}]},
         ),
         (lambda rng: compile_qft(np.int64(3)).n_qubits, None, 3),
+        (lambda rng: new_state(True), "qubit count True", None),
+        (lambda rng: new_state(2.5), "qubit count 2.5", None),
+        (lambda rng: QState(2.0, np.eye(4)[0]), "qubit count 2.0", None),
+        (lambda rng: Program(2.0, ()), "qubit count 2.0", None),
+        (lambda rng: basis_state(2, 1.5), "basis index 1.5", None),
+        (lambda rng: two_to_one_table(2.5, 1, rng), "bit count 2.5", None),
+        (lambda rng: two_to_one_table(3, 1.0, rng), "mask 1.0", None),
+        (lambda rng: fourier_basis_state(make_group([4]), 1.5), "element index 1.5", None),
+        (lambda rng: fourier_basis_state(make_group([4]), np.array(1)), "element index array", None),
+        (lambda rng: apply_wire_permutation(new_state(2), (1.0, 0.0)), r"\(1.0, 0.0\) is not a permutation", None),
+        (lambda rng: fft_radix2(2.5, np.ones(4)), "qubit count 2.5", None),
+        (lambda rng: walsh_hadamard(True, np.ones(2)), "bit count True", None),
+        (lambda rng: new_state(np.int64(2)).n_qubits, None, 2),
+        (lambda rng: QState(np.int64(2), np.eye(4)[0]).n_qubits, None, 2),
+        (lambda rng: Program(np.int64(2), ()).n_qubits, None, 2),
+        (lambda rng: int(np.flatnonzero(basis_state(np.int64(2), np.int64(3)).amps)[0]), None, 3),
+        (lambda rng: two_to_one_table(np.int64(3), np.int64(5), rng).group.moduli, None, (2, 2, 2)),
+        (lambda rng: fourier_basis_state(make_group([4]), np.int64(2)).real.tolist(), None, [0.5, -0.5, 0.5, -0.5]),
+        (
+            lambda rng: apply_wire_permutation(basis_state(2, 1), (np.int64(1), np.int64(0))).amps.real.tolist(),
+            None,
+            [0.0, 0.0, 1.0, 0.0],
+        ),
     ],
     ids=[
         "gate target float", "gate target str", "gate target bool", "collapse qubit float",
         "sample shots float", "sample shots bool", "fourier shots bool", "fourier shots float",
         "gate target int64", "collapse qubit int64", "sample shots int64", "fourier shots int64",
         "find_period budget int64", "cphase exponent int64", "cphase exponent to JSON", "compile_qft int64",
+        "new_state bool", "new_state float", "QState width float", "Program width float", "basis index float",
+        "two_to_one bits float", "two_to_one mask float", "fourier basis label float", "fourier basis label 0-d array",
+        "wire permutation float",
+        "fft_radix2 bits float", "walsh bits bool", "new_state int64", "QState width int64", "Program width int64",
+        "basis index int64", "two_to_one int64", "fourier basis label int64", "wire permutation int64",
     ],
 )
 def test_integer_arguments_follow_one_rule(call, refusal, want):
