@@ -20,16 +20,18 @@ so it draws exactly k at once, fewer only to keep candidate members times k
 within one block bound.  A draw takes one uniform, and a simulate-mode shot two,
 its value's and then its label's, so a block takes the uniforms the shots take
 one by one: the labels and the generator's final state are those of drawing
-with Generator.choice shot by shot.  One phase matrix of the candidate members
-against the block's labels, its rows and-accumulated along the block, gives the
-survivors after each label, hence the streak.  Every law is built once per
-recovery, before its first draw.  Exact mode has one, the label law.  Simulate
-mode reads the function state as rows, one per value of the value register (its
-top qubits), each row the group register that value leaves.  It builds the
-state, the network and the value register's law, each row's probability, up
-front, and the label laws of the values a block reads for the first time, their
-rows normalised, in one run over the stacked rows: at most |G|/|K| laws in all,
-each bit for bit the law of its row run alone.
+with Generator.choice shot by shot.  The block's first label filters the
+candidate C, in O(|C| rank); one phase matrix of its survivors C1 against the
+other k - 1 labels, its rows and-accumulated along the block, in
+O(|C1| (k - 1) rank), gives the survivors after each later label, hence the
+streak.  Every law is built once per recovery, before its first draw.  Exact
+mode has one, the label law.  Simulate mode reads the function state as rows,
+one per value of the value register (its top qubits), each row the group
+register that value leaves.  It builds the state, the network and the value
+register's law, each row's probability, up front, and the label laws of the
+values a block reads for the first time, their rows normalised, in one run over
+the stacked rows: at most |G|/|K| laws in all, each bit for bit the law of its
+row run alone.
 
 Sampling is only sound when the table is one-to-one on the cosets of its
 stabiliser K.  Then K is the preimage of f(0), so both modes take K as that
@@ -278,12 +280,20 @@ def find_period(
         k = min(window - streak, max_shots - len(labels), max(1, _DRAW_BLOCK // len(candidate)))
         block = draw(k)
         labels.extend(block.tolist())
-        # Column j: the candidate members that survive the block's labels up to j.
-        zero = _phases(group, group._coords(candidate), group._coords(block)) == 0
+        # The first label filters the whole candidate, the others only its survivors: column j of
+        # alive marks those that also survive the block's labels 1 to j + 1.
+        first = candidate[_phases(group, group._coords(candidate), group._coords(block[:1]))[:, 0] == 0]
+        zero = _phases(group, group._coords(first), group._coords(block[1:])) == 0
         alive = np.logical_and.accumulate(zero, axis=1)
-        shrank = np.flatnonzero(np.diff(np.count_nonzero(alive, axis=0), prepend=len(candidate)))
-        streak = k - 1 - int(shrank[-1]) if len(shrank) else streak + k
-        candidate = candidate[alive[:, -1]]
+        left = np.count_nonzero(alive, axis=0)
+        survivors = first[alive[:, -1]] if k > 1 else first
+        # Survivor counts never grow, so the labels since the last that shrank the candidate are
+        # those after which it already had its final size.
+        if len(survivors) == len(candidate):
+            streak += k
+        else:
+            streak = int(np.count_nonzero(left == len(survivors))) + (len(first) == len(survivors)) - 1
+        candidate = survivors
     # A correct recovery is the stabiliser, already checked; anything else is checked here.
     subgroup = stabilizer if np.array_equal(candidate, stabilizer._indices) else Subgroup(group, candidate)
     return StabilizerResult(subgroup, len(labels), tuple(labels), streak >= window)

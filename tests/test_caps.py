@@ -1,7 +1,8 @@
-"""Every group-order cap, through its public entry point one past the cap: one message form, and
-a refusal before anything of that order is allocated."""
+"""Every group-order cap and the shot cap, through their public entry points one past the cap: one
+message form per kind of cap, and a refusal before anything of that size is allocated or drawn."""
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from abelianfft import DENSE_CAP, STATE_CAP, FunctionTable, dense_fourier_matrix
 from abelianfft.cli import main
 from abelianfft.groups import MAX_ORDER
 from abelianfft.period import EXACT_CAP, SIMULATE_CAP
+from abelianfft.simulator import SHOT_CAP, new_state, sample
 
 # Built before any measurement: only the refusal of find_period is measured.
 _Z4097_TABLE = FunctionTable(make_group([4097]), tuple(range(4097)))
@@ -64,4 +66,25 @@ def test_every_order_cap_refuses_one_message_before_allocating(order, what, cap,
     finally:
         tracemalloc.stop()
     assert message == f"group order {order} exceeds the {what} cap {cap}"
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("route", ["sample", "simulate all", "simulate qubit"])
+def test_shot_cap_refuses_before_the_first_draw(route, tmp_path, capsys):
+    # sample and both CLI simulate paths share one shot loop; a count past its cap returns at once.
+    program = tmp_path / "x.json"
+    program.write_text(json.dumps({"n": 1, "steps": [{"gate": "H", "targets": [0]}]}), encoding="utf-8")
+    argv = ["simulate", "--program", str(program), "--shots", str(SHOT_CAP + 1)]
+    calls = {
+        "sample": _api(lambda: sample(new_state(1), SHOT_CAP + 1, np.random.default_rng(0))),
+        "simulate all": _cli(*argv),
+        "simulate qubit": _cli(*argv, "--measure", "0"),
+    }
+    tracemalloc.start()
+    try:
+        message = calls[route](capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message == f"shot count {SHOT_CAP + 1} exceeds the shot cap {SHOT_CAP}"
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelianfft import (
@@ -593,6 +593,16 @@ def _one_label_recovery(f, max_shots, rng, mode, window):
 _RECOVERY_SHAPES = ([1024], [2] * 8, [8, 9, 5], [7, 7], [12], [16], [64])
 
 
+# Edges of a block's split into its first label and the rest: a constant table on Z2^8 (K = G,
+# every label 0), where no first label shrinks the candidate and the rest spans the whole group;
+# window 1, where each block is one label and its rest is empty; and budgets that cut the second
+# block to its first label.
+@example(shape=[2] * 8, picks=[1, 2, 4, 8, 16, 32, 64, 128], simulate=False, window=30, max_shots=90, seed=0)
+@example(shape=[2] * 8, picks=[1, 2, 4, 8, 16, 32, 64, 128], simulate=True, window=30, max_shots=90, seed=1)
+@example(shape=[1024], picks=[256], simulate=False, window=1, max_shots=1, seed=0)
+@example(shape=[16], picks=[8], simulate=True, window=1, max_shots=90, seed=2)
+@example(shape=[16], picks=[8], simulate=True, window=30, max_shots=31, seed=5)
+@example(shape=[8, 9, 5], picks=[12], simulate=False, window=30, max_shots=31, seed=1)
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(
     shape=st.sampled_from(_RECOVERY_SHAPES),
@@ -614,6 +624,31 @@ def test_block_recovery_equals_the_one_label_loop(shape, picks, simulate, window
     assert result.labels_seen == labels and result.samples_used == len(labels)
     assert result.converged == converged and result.subgroup.members == members
     assert block_rng.random() == loop_rng.random()
+
+
+@pytest.mark.parametrize("generator, seed", [((256,), 3), ((256,), 11), ((64,), 7), ((512,), 19)])
+def test_block_phase_work_follows_the_first_labels_survivors(generator, seed, monkeypatch):
+    # Each block's first label filters the whole candidate and the rest of the block only its
+    # survivors.  So the first block of a window-30 recovery on Z1024 takes |G| phase entries for
+    # its first label and at most (|G|/2)(window - 1) for the rest (a nonzero label keeps at most
+    # half of Z1024), and on these seeds the later blocks take less than another |G| (1,084 to
+    # 4,768 entries in all).  One matrix of the candidate against each whole block takes about
+    # window |G| = 30,720.
+    entries = []
+    inner = period._phases
+
+    def counting(group, args, labels):
+        out = inner(group, args, labels)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(period, "_phases", counting)
+    f, planted = _planted_table([1024], [generator])
+    order, window = 1024, 30
+    result = find_period(f, 200, np.random.default_rng(seed), window=window)
+    assert result.converged and result.subgroup.members == planted.members
+    assert result.labels_seen[0] != 0
+    assert sum(entries) <= order + order // 2 * (window - 1) + order, entries
 
 
 @pytest.mark.parametrize(
