@@ -20,6 +20,7 @@ from .qft_circuit import REORDER_MODES, compile_qft
 from .simulator import (
     STATE_CAP,
     _cdf,
+    _check_shot_cap,
     _check_target,
     _complex_from_json,
     _tally,
@@ -116,6 +117,7 @@ def _cmd_fft(args: argparse.Namespace) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     if args.shots < 0:
         raise ValueError(f"shot count {args.shots} must not be negative")
+    _check_shot_cap(args.shots)
     qubit = None
     if args.measure != "all":
         try:
@@ -137,10 +139,8 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         probs = np.abs(state.amps)
         probs *= probs
         support = np.flatnonzero(probs > 1e-15)
-        n = program.n_qubits
-        payload["distribution"] = {
-            format(i, f"0{n}b"): p for i, p in zip(support.tolist(), probs[support].tolist())
-        }
+        spec = f"0{program.n_qubits}b"
+        payload["distribution"] = {format(i, spec): p for i, p in zip(support.tolist(), probs[support].tolist())}
         del probs  # sampling builds its own normalised copy
         if args.shots > 0:
             payload["counts"] = sample(state, args.shots, rng)

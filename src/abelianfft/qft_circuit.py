@@ -123,5 +123,5 @@ def _run_network(compiled: GateList, rows: np.ndarray) -> np.ndarray:
     # over a copy of the stacked rows, each row getting the arithmetic a run on its own gives it,
     # then each row's wires are reordered.  Rows are not checked for unit norm.
     amps = np.array(rows, dtype=np.complex128)
-    _run_gates(amps.reshape(-1), compiled.gates)
+    _run_gates(amps, compiled.gates)
     return _permuted(amps, compiled.final_permutation).reshape(amps.shape)

@@ -10,24 +10,37 @@ gate on it in place and checks the unit norm once, when it wraps the final
 buffer in a `QState`.  Each gate runs on a strided view with one leading axis
 per target wire:
 
-- a 2x2 matrix (H or raw) is a butterfly over the amplitude pairs;
-- X and CNOT exchange two index slices;
+- a raw 2x2 matrix is a butterfly over the amplitude pairs; H is a butterfly of
+  its own that forms c * a0 once, since three of its entries are one value c:
+  three products per pair where a raw matrix takes four;
+- X and CNOT exchange two index slices; when their lowest wire lo is 1 to 5,
+  each run of 2^lo contiguous amplitudes moves as one np.void unit;
 - SWAP relabels its two wires and moves no amplitude; a run restores the layout at its end
-  with at most n - 1 exchanges of two wires;
+  with at most n - 1 exchanges of two wires, by units as X does;
 - CPHASE multiplies the quarter of the amplitudes with both target bits set;
+  consecutive CPHASE gates that share a wire run on that wire's set half, copied
+  in blocks into contiguous memory, where each gate multiplies its phase in gate
+  order before the block is copied back;
 - a raw 4x4 matrix gathers the (4, -1) reshape of the view into the first half
   of the run's workspace, zgemm writes the product into its second half, and
   the product is copied back through the view.
 
-Butterflies and exchanges work in blocks of at most `_BLOCK` pairs, so a gate
-on the top wire needs no temporary the size of the state.  The workspace holds
-twice the state; `run_program` makes it when the first raw 4x4 gate runs and
-reuses it for every later one, so a program without raw 4x4 gates never has
-it.  The named gates come from one table, `_NAMED`, through one validator,
-`_named_matrix`: one shared read-only matrix per name (per exponent for CPHASE),
-checked for unitarity when first built.  A named `Gate` must carry exactly that
-matrix, so its name picks its kernel and its JSON form; a gate with no name gets
-a private copy of its matrix, checked on every `Gate`.
+Every fast path gives each amplitude the arithmetic of the plain kernel it
+stands for, in the same order, so its bytes are those of `_butterfly`,
+`_phase` or a `_wire_view` exchange, the oracles the tests keep.
+Butterflies, exchanges and CPHASE runs work in blocks of at most `_BLOCK`
+amplitudes, so a gate on the top wire needs no temporary the size of the
+state.  The workspace holds twice the state; `run_program` makes it when the
+first raw 4x4 gate runs and reuses it for every later one, so a program
+without raw 4x4 gates never has it.  The named gates come from one table,
+`_NAMED`, through one validator, `_named_matrix`: one shared read-only matrix
+per name (per exponent for CPHASE), checked for unitarity when first built.
+A named `Gate` must carry exactly that matrix, so its name picks its kernel
+and its JSON form; a gate with no name gets a private copy of its matrix,
+checked on every `Gate`.  The gate builders and `program_from_json` share one
+immutable named `Gate` per (name, targets, param), built and checked once and
+held in a bounded cache; only plain str and int arguments hit it, and any
+other call is checked in full by `Gate`.
 """
 from __future__ import annotations
 
@@ -45,8 +58,9 @@ STATE_CAP = 24
 
 UNITARY_TOL = 1e-10
 
-# Largest number of amplitude pairs a butterfly or an exchange updates in one step.  A block's
-# temporaries (128 KiB each) stay in cache: at 24 qubits this runs an H twice as fast as 2^16.
+# Largest number of amplitude pairs a butterfly or an exchange updates in one step, and of
+# amplitudes a CPHASE run gathers.  A block's temporaries (128 KiB each) stay in cache: at 24
+# qubits this runs an H twice as fast as 2^16.
 _BLOCK = 1 << 13
 
 # Largest number of entries one block of draws holds: shots in `sample`; in period.find_period,
@@ -61,16 +75,18 @@ _DRAW_BLOCK = 1 << 16
 SHOT_CAP = 1 << 31
 
 
-def _blocks(shape: tuple[int, ...]) -> Iterator[tuple]:
-    """Index tuples that cover an array of this shape in pieces of at most _BLOCK entries."""
+def _blocks(shape: tuple[int, ...], limit: int | None = None) -> Iterator[tuple]:
+    """Index tuples that cover an array of this shape in pieces of at most limit entries (_BLOCK
+    by default)."""
+    limit = _BLOCK if limit is None else limit
     inner = prod(shape[1:])
-    if inner <= _BLOCK:
-        rows = _BLOCK // inner
+    if inner <= limit:
+        rows = limit // inner
         for start in range(0, shape[0], rows):
             yield (slice(start, start + rows),)
     else:
         for row in range(shape[0]):
-            for rest in _blocks(shape[1:]):
+            for rest in _blocks(shape[1:], limit):
                 yield (row,) + rest
 
 
@@ -83,6 +99,19 @@ def _wire_view(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     return shaped.transpose((1, 3, 0, 2, 4) if targets[0] == hi else (3, 1, 0, 2, 4))
 
 
+def _unit_view(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """The _wire_view of a contiguous buffer for an exchange: when the lowest target lo is 1 to 5,
+    each run of 2^lo contiguous amplitudes is one np.void unit, so an exchange copies whole runs."""
+    lo = min(targets)
+    if lo not in _UNITS or not amps.flags.c_contiguous:
+        return _wire_view(amps, targets)
+    return _wire_view(amps.view(_UNITS[lo]), tuple([t - lo for t in targets]))
+
+
+# The np.void unit of a run of 2^lo complex128 amplitudes, for each lo an exchange moves by runs.
+_UNITS = {lo: np.dtype((np.void, 16 << lo)) for lo in range(1, 6)}
+
+
 def _butterfly(view: np.ndarray, u: np.ndarray) -> None:
     for block in _blocks(view.shape[1:]):
         a0, a1 = view[0][block], view[1][block]
@@ -91,10 +120,29 @@ def _butterfly(view: np.ndarray, u: np.ndarray) -> None:
         a0[...] = out0
 
 
+def _hadamard(view: np.ndarray, u: np.ndarray) -> None:
+    """_butterfly for H, bit for bit: u[0, 0], u[0, 1] and u[1, 0] are one value c, so c * a0 is
+    formed once and both sums are written in place, three products where _butterfly takes four."""
+    c, d = u[0, 0], u[1, 1]
+    t0 = None
+    for block in _blocks(view.shape[1:]):
+        a0, a1 = view[0][block], view[1][block]
+        # The first block's products are the buffers of every later block of its shape.
+        if t0 is None or t0.shape != a0.shape:
+            t0, t1, w = c * a0, c * a1, d * a1
+        else:
+            np.multiply(c, a0, out=t0)
+            np.multiply(c, a1, out=t1)
+            np.multiply(d, a1, out=w)
+        np.add(t0, w, out=a1)
+        np.add(t0, t1, out=a0)
+
+
 def _exchange(view: np.ndarray, a: tuple[int, ...], b: tuple[int, ...]) -> None:
-    """Swap the amplitudes whose target bits read a with those whose target bits read b."""
+    """Swap the entries whose target bits read a with those whose target bits read b, in blocks of
+    at most _BLOCK amplitudes whether an entry is one amplitude or a _unit_view run of them."""
     first, second = view[a], view[b]
-    for block in _blocks(first.shape):
+    for block in _blocks(first.shape, max(1, _BLOCK * 16 // view.itemsize)):
         held = first[block].copy()
         first[block] = second[block]
         second[block] = held
@@ -103,6 +151,37 @@ def _exchange(view: np.ndarray, a: tuple[int, ...], b: tuple[int, ...]) -> None:
 def _phase(view: np.ndarray, phase: complex) -> None:
     """Multiply the amplitudes with both target bits set."""
     view[1, 1] *= phase
+
+
+def _phase_half(amps: np.ndarray, wire: int, phases: Sequence[tuple[int, complex]]) -> None:
+    """A run of CPHASE gates that all act on `wire`, each given as its other wire and its phase:
+    the amplitudes with that wire's bit set are copied in blocks into one contiguous buffer, each
+    gate multiplies its phase, in gate order, into the buffer's entries with its other bit set,
+    and the block is copied back.  Every amplitude gets the multiplications the gates one by one
+    give it, in the same order; the phases are not fused."""
+    half = amps.reshape(-1, 2, 1 << wire)[:, 1, :]
+    cols = half.shape[1]
+    # A power of two that divides the half, so every block is whole and starts at a multiple of it.
+    length = min(_BLOCK, half.size & -half.size)
+    buffer = np.empty(length, dtype=amps.dtype)
+    # An amplitude's place in the half is its index with bit `wire` taken out.  A gate's bit below
+    # the block length picks a strided part of the buffer; a higher one is fixed across a block.
+    parts = []
+    for other, phase in phases:
+        bit = other - (other > wire)
+        if 2 << bit <= length:
+            parts.append((buffer.reshape(-1, 2, 1 << bit)[:, 1, :], None, phase))
+        else:
+            parts.append((buffer, bit, phase))
+    for start in range(0, half.size, length):
+        row, col = divmod(start, cols)
+        block = half[row, col : col + length] if cols >= length else half[row : row + length // cols]
+        gathered = buffer.reshape(block.shape)
+        np.copyto(gathered, block)
+        for part, bit, phase in parts:
+            if bit is None or start >> bit & 1:
+                part *= phase
+        np.copyto(block, gathered)
 
 
 def _product(view: np.ndarray, u: np.ndarray, workspace: np.ndarray) -> None:
@@ -197,25 +276,43 @@ class Gate:
         return 1 if self.matrix.shape == (2, 2) else 2
 
 
+# Most distinct named gates the shared-gate cache holds; a 24-wire network has 576.
+_GATE_CACHE = 1 << 12
+
+
+def _named_gate(name: object, targets: tuple, param: object = None) -> Gate:
+    """The named gate on these targets: one shared Gate per (name, targets, param) when every
+    part has its exact type, str and int, so the cache never confuses 1 with True or 1.0; any
+    other call is checked in full by Gate and gets a gate of its own."""
+    if type(name) is str and (param is None or type(param) is int) and all([type(t) is int for t in targets]):
+        return _shared_gate(name, targets, param)
+    return Gate(_named_matrix(name, param), targets, name, param)
+
+
+@lru_cache(maxsize=_GATE_CACHE)
+def _shared_gate(name: str, targets: tuple[int, ...], param: int | None) -> Gate:
+    return Gate(_named_matrix(name, param), targets, name, param)
+
+
 def hadamard(target: int) -> Gate:
-    return Gate(_named_matrix("H"), (target,), "H")
+    return _named_gate("H", (target,))
 
 
 def pauli_x(target: int) -> Gate:
-    return Gate(_named_matrix("X"), (target,), "X")
+    return _named_gate("X", (target,))
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate(_named_matrix("CNOT"), (control, target), "CNOT")
+    return _named_gate("CNOT", (control, target))
 
 
 def swap_gate(a: int, b: int) -> Gate:
-    return Gate(_named_matrix("SWAP"), (a, b), "SWAP")
+    return _named_gate("SWAP", (a, b))
 
 
 def cphase(control: int, target: int, exponent: int = 1) -> Gate:
     """Conditional phase diag(1, 1, 1, exp(2 pi i / 2^exponent)); exponent 1 gives CZ."""
-    return Gate(_named_matrix("CPHASE", exponent), (control, target), "CPHASE", exponent)
+    return _named_gate("CPHASE", (control, target), exponent)
 
 
 # How far a state's norm may be from 1, and the weight a padded register may hold outside its group.
@@ -323,41 +420,84 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
     return QState(n, amps)
 
 
-def _run_gates(amps: np.ndarray, gates: Iterable[Gate]) -> None:
-    """Run the gates in order on a writable amplitude buffer, in place, by the kernel each gate's
-    name picks: CPHASE the phase, X and CNOT the exchange, other 2x2 gates the blocked butterfly,
-    raw 4x4 gates the product into one workspace made at the first of them.  A SWAP moves no
+# A run of CPHASE gates on one wire goes through _phase_half when it has at least this many gates
+# and each state has at least 2 * _BLOCK amplitudes.  Shorter runs and smaller states run gate by
+# gate, where the gather costs more than it saves.  On one core of a shared x86-64 host (numpy
+# 2.4) it saves a fifth of the 14-wire network's phase time, breaks even at 12 wires, and costs
+# a third more on stacks of 4-wire states and 6 to 29 % more on 2-gate runs at 11 to 18 wires.
+_HALF_RUN_GATES = 3
+
+
+def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
+    """Run the gates in order, in place, on a writable contiguous buffer of one 2^n-amplitude
+    state or a (B, 2^n) stack of them, by the kernel each gate's name picks: CPHASE the phase, X
+    and CNOT the exchange, H its own butterfly and other 2x2 gates the blocked butterfly, raw 4x4
+    gates the product into one workspace made at the first of them.  Consecutive CPHASE gates
+    that share a wire run together on that wire's set half (_phase_half).  A SWAP moves no
     amplitude: it relabels its two wires, and every later gate runs on the wires its targets now
     live on.  After the last gate each cycle of displaced wires is put back by exchanges, at most
-    n - 1 in all, so the buffer ends as a SWAP-by-SWAP run leaves it.  B stacked 2^n-amplitude
-    states each run as they would alone: every kernel works on its target bits only, with the
-    same arithmetic on each amplitude, and only wires below n are relabelled."""
+    n - 1 in all, so the buffer ends as a SWAP-by-SWAP run leaves it.  B stacked states each run
+    as they would alone: every kernel works on its target bits only, with the same arithmetic on
+    each amplitude, and only wires below n are relabelled."""
+    gather = amps.shape[-1] >= 2 * _BLOCK
+    amps = amps.reshape(-1)
     workspace = None
     # wire_of[w] is the wire that holds the content of wire w, for every wire a SWAP has moved.
     wire_of: dict[int, int] = {}
-    for gate in gates:
+    at = 0
+    while at < len(gates):
+        gate = gates[at]
+        at += 1
         targets = tuple([wire_of.get(t, t) for t in gate.targets]) if wire_of else gate.targets
         if gate.name == "SWAP":
             wire_of[gate.targets[0]], wire_of[gate.targets[1]] = targets[1], targets[0]
             continue
-        view = _wire_view(amps, targets)
-        exchanged = _NAMED.get(gate.name, (None, None))[1]
         if gate.name == "CPHASE":
-            _phase(view, gate.matrix[3, 3])
-        elif exchanged:
-            _exchange(view, *exchanged)
-        elif len(gate.targets) == 1:
-            _butterfly(view, gate.matrix)
+            if gather:
+                wire, run, at = _phase_run(gates, at, targets, wire_of)
+            else:
+                wire, run = None, [(targets, gate.matrix[3, 3])]
+            if len(run) >= _HALF_RUN_GATES:
+                _phase_half(amps, wire, [(a if a != wire else b, phase) for (a, b), phase in run])
+            else:
+                for pair, phase in run:
+                    _phase(_wire_view(amps, pair), phase)
+            continue
+        exchanged = _NAMED.get(gate.name, (None, None))[1]
+        if exchanged:
+            _exchange(_unit_view(amps, targets), *exchanged)
+        elif gate.name == "H":
+            _hadamard(_wire_view(amps, targets), gate.matrix)
+        elif len(targets) == 1:
+            _butterfly(_wire_view(amps, targets), gate.matrix)
         else:
             if workspace is None:
                 workspace = np.empty(2 * amps.size, dtype=np.complex128)
-            _product(view, gate.matrix, workspace)
+            _product(_wire_view(amps, targets), gate.matrix, workspace)
     for w in wire_of:
         while wire_of[w] != w:
             # Exchanging wire p, which holds w, with the wire that holds p puts p home.
             p = wire_of[w]
             wire_of[w], wire_of[p] = wire_of[p], p
-            _exchange(_wire_view(amps, (p, wire_of[w])), *_NAMED["SWAP"][1])
+            _exchange(_unit_view(amps, (p, wire_of[w])), *_NAMED["SWAP"][1])
+
+
+def _phase_run(
+    gates: Sequence[Gate], at: int, targets: tuple[int, ...], wire_of: dict[int, int]
+) -> tuple[int, list[tuple[tuple[int, ...], complex]], int]:
+    """The run of CPHASE gates that starts with the one just read, on these (relabelled) targets,
+    and goes on from gates[at] while one wire is common to all: that wire, each gate's targets
+    and phase, and the index past the run."""
+    run = [(targets, gates[at - 1].matrix[3, 3])]
+    shared = set(targets)
+    while at < len(gates) and gates[at].name == "CPHASE":
+        pair = tuple([wire_of.get(t, t) for t in gates[at].targets])
+        if shared.isdisjoint(pair):
+            break
+        shared.intersection_update(pair)
+        run.append((pair, gates[at].matrix[3, 3]))
+        at += 1
+    return min(shared), run, at
 
 
 # Generator.choice accepts a law whose sum is this far from 1.
@@ -441,8 +581,14 @@ def sample(state: QState, shots: int, rng: np.random.Generator) -> dict[str, int
     if not _is_int(shots) or shots < 1:
         raise ValueError(f"shot count {shots!r} must be a positive integer")
     tally = _tally(rng, _cdf(_probabilities(state.amps)), int(shots))
-    n = state.n_qubits
-    return {format(i, f"0{n}b"): c for i, c in tally.items()}
+    spec = f"0{state.n_qubits}b"
+    return {format(i, spec): c for i, c in tally.items()}
+
+
+def _check_shot_cap(shots: int) -> None:
+    """The one refusal of a shot count above SHOT_CAP, made before any draw."""
+    if shots > SHOT_CAP:
+        raise ValueError(f"shot count {shots} exceeds the shot cap {SHOT_CAP}")
 
 
 def _tally(rng: np.random.Generator, cdf: np.ndarray, shots: int) -> dict[int, int]:
@@ -450,8 +596,7 @@ def _tally(rng: np.random.Generator, cdf: np.ndarray, shots: int) -> dict[int, i
     ascending order of outcome.  Draws run in blocks of at most _DRAW_BLOCK, each counted and
     merged into the running counts, so memory follows the block and the outcomes seen, not the
     shots.  A count above SHOT_CAP is refused before any draw."""
-    if shots > SHOT_CAP:
-        raise ValueError(f"shot count {shots} exceeds the shot cap {SHOT_CAP}")
+    _check_shot_cap(shots)
     outcomes = np.empty(0, dtype=np.intp)
     counts = np.empty(0, dtype=np.int64)
     for start in range(0, shots, _DRAW_BLOCK):
@@ -497,16 +642,17 @@ def program_from_json(obj: Mapping) -> Program:
     steps: list[Gate] = []
     for pos, step in enumerate(obj["steps"]):
         try:
-            if not isinstance(step, Mapping):
+            # json.load gives dicts; the Mapping ABC check is for other callers.
+            if type(step) is not dict and not isinstance(step, Mapping):
                 raise ValueError("must be a JSON object")
             targets = step.get("targets")
-            if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
+            if not isinstance(targets, list) or not all([_is_int(t) for t in targets]):
                 raise ValueError("needs an integer target list")
             if "gate" in step:
                 name, param = step["gate"], step.get("param")
                 if param is None and name == "CPHASE":
                     param = 1  # cphase's default exponent: CZ
-                steps.append(Gate(_named_matrix(name, param), tuple(targets), name, param))
+                steps.append(_named_gate(name, tuple(targets), param))
             elif "matrix" in step:
                 steps.append(Gate(_matrix_from_json(step["matrix"]), tuple(targets)))
             else:

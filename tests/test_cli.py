@@ -22,6 +22,7 @@ from referencing import Registry, Resource
 from abelianfft import DENSE_CAP, apply_dense, dense_fourier_matrix, make_group
 from abelianfft import cli, dense
 from abelianfft.cli import DEFAULT_SEED, main
+from abelianfft.simulator import SHOT_CAP
 
 from testutil import SCHEMA_DIR
 
@@ -284,6 +285,22 @@ def test_simulate_checks_the_measured_qubit_before_running_the_program(tmp_path,
     code, out, err = _run(capsys, "simulate", "--program", str(source), "--measure", qubit)
     assert code == 1 and out == ""
     assert err == f"error: target qubit {qubit} out of range for 1-qubit state\n"
+
+
+@pytest.mark.parametrize("measure", ["all", "0", "7"])
+def test_simulate_refuses_shots_past_the_cap_before_loading_the_program(tmp_path, capsys, monkeypatch, measure):
+    # A 24-qubit program would take seconds to run; the cap is checked right after parsing.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the program was loaded or run")
+
+    monkeypatch.setattr(cli, "program_from_json", refuse)
+    monkeypatch.setattr(cli, "run_program", refuse)
+    source = tmp_path / "wide.json"
+    source.write_text(json.dumps({"n": 24, "steps": [{"gate": "H", "targets": [t]} for t in range(24)]}))
+    shots = SHOT_CAP + 1
+    code, out, err = _run(capsys, "simulate", "--program", str(source), "--shots", str(shots), "--measure", measure)
+    assert code == 1 and out == ""
+    assert err == f"error: shot count {shots} exceeds the shot cap {SHOT_CAP}\n"
 
 
 def test_simulate_measure_takes_what_int_takes(tmp_path, capsys):
