@@ -13,10 +13,9 @@ per target wire:
 - a raw 2x2 matrix is a butterfly over the amplitude pairs; H is a butterfly of
   its own that forms c * a0 once, since three of its entries are one value c:
   three products per pair where a raw matrix takes four;
-- X and CNOT exchange two index slices; when their lowest wire lo is 1 to 5,
-  each run of 2^lo contiguous amplitudes moves as one np.void unit;
+- X and CNOT exchange two index slices;
 - SWAP relabels its two wires and moves no amplitude; a run restores the layout at its end
-  with at most n - 1 exchanges of two wires, by units as X does;
+  with at most n - 1 exchanges of two wires;
 - CPHASE multiplies the quarter of the amplitudes with both target bits set;
   consecutive CPHASE gates that share a wire run on that wire's set half, copied
   in blocks into contiguous memory, where each gate multiplies its phase in gate
@@ -25,22 +24,25 @@ per target wire:
   of the run's workspace, zgemm writes the product into its second half, and
   the product is copied back through the view.
 
-Every fast path gives each amplitude the arithmetic of the plain kernel it
-stands for, in the same order, so its bytes are those of `_butterfly`,
-`_phase` or a `_wire_view` exchange, the oracles the tests keep.
-Butterflies, exchanges and CPHASE runs work in blocks of at most `_BLOCK`
-amplitudes, so a gate on the top wire needs no temporary the size of the
-state.  The workspace holds twice the state; `run_program` makes it when the
-first raw 4x4 gate runs and reuses it for every later one, so a program
+Each fast path gives every amplitude the arithmetic of the plain kernel it
+stands for, in the same order, so its bytes are those of `_butterfly` or of
+one `_phase` per gate, the oracles the tests keep.  Butterflies and exchanges
+work in blocks of at most `_BLOCK` pairs and CPHASE runs in blocks of at most
+`_BLOCK` amplitudes, so a gate on the top wire needs no temporary the size of
+the state.  The workspace holds twice the state; `run_program` makes it when
+the first raw 4x4 gate runs and reuses it for every later one, so a program
 without raw 4x4 gates never has it.  The named gates come from one table,
 `_NAMED`, through one validator, `_named_matrix`: one shared read-only matrix
 per name (per exponent for CPHASE), checked for unitarity when first built.
 A named `Gate` must carry exactly that matrix, so its name picks its kernel
 and its JSON form; a gate with no name gets a private copy of its matrix,
 checked on every `Gate`.  The gate builders and `program_from_json` share one
-immutable named `Gate` per (name, targets, param), built and checked once and
-held in a bounded cache; only plain str and int arguments hit it, and any
-other call is checked in full by `Gate`.
+immutable named `Gate` per (name, targets, param), held in a bounded cache;
+only plain str and int arguments hit it, and any other call is checked in
+full by `Gate`.  The cache pays where one process builds the same gate again:
+a program loaded more than once, or one that repeats a gate, as the m-wire
+swaps network lists m(m - 1)/2 SWAPs on m - 1 distinct pairs.  A gate seen
+for the first time is checked as before.
 """
 from __future__ import annotations
 
@@ -75,18 +77,16 @@ _DRAW_BLOCK = 1 << 16
 SHOT_CAP = 1 << 31
 
 
-def _blocks(shape: tuple[int, ...], limit: int | None = None) -> Iterator[tuple]:
-    """Index tuples that cover an array of this shape in pieces of at most limit entries (_BLOCK
-    by default)."""
-    limit = _BLOCK if limit is None else limit
+def _blocks(shape: tuple[int, ...]) -> Iterator[tuple]:
+    """Index tuples that cover an array of this shape in pieces of at most _BLOCK entries."""
     inner = prod(shape[1:])
-    if inner <= limit:
-        rows = limit // inner
+    if inner <= _BLOCK:
+        rows = _BLOCK // inner
         for start in range(0, shape[0], rows):
             yield (slice(start, start + rows),)
     else:
         for row in range(shape[0]):
-            for rest in _blocks(shape[1:], limit):
+            for rest in _blocks(shape[1:]):
                 yield (row,) + rest
 
 
@@ -97,19 +97,6 @@ def _wire_view(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     hi, lo = max(targets), min(targets)
     shaped = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
     return shaped.transpose((1, 3, 0, 2, 4) if targets[0] == hi else (3, 1, 0, 2, 4))
-
-
-def _unit_view(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """The _wire_view of a contiguous buffer for an exchange: when the lowest target lo is 1 to 5,
-    each run of 2^lo contiguous amplitudes is one np.void unit, so an exchange copies whole runs."""
-    lo = min(targets)
-    if lo not in _UNITS or not amps.flags.c_contiguous:
-        return _wire_view(amps, targets)
-    return _wire_view(amps.view(_UNITS[lo]), tuple([t - lo for t in targets]))
-
-
-# The np.void unit of a run of 2^lo complex128 amplitudes, for each lo an exchange moves by runs.
-_UNITS = {lo: np.dtype((np.void, 16 << lo)) for lo in range(1, 6)}
 
 
 def _butterfly(view: np.ndarray, u: np.ndarray) -> None:
@@ -139,10 +126,9 @@ def _hadamard(view: np.ndarray, u: np.ndarray) -> None:
 
 
 def _exchange(view: np.ndarray, a: tuple[int, ...], b: tuple[int, ...]) -> None:
-    """Swap the entries whose target bits read a with those whose target bits read b, in blocks of
-    at most _BLOCK amplitudes whether an entry is one amplitude or a _unit_view run of them."""
+    """Swap the amplitudes whose target bits read a with those whose target bits read b."""
     first, second = view[a], view[b]
-    for block in _blocks(first.shape, max(1, _BLOCK * 16 // view.itemsize)):
+    for block in _blocks(first.shape):
         held = first[block].copy()
         first[block] = second[block]
         second[block] = held
@@ -420,12 +406,15 @@ def run_program(program: Program, initial: QState | None = None) -> QState:
     return QState(n, amps)
 
 
-# A run of CPHASE gates on one wire goes through _phase_half when it has at least this many gates
-# and each state has at least 2 * _BLOCK amplitudes.  Shorter runs and smaller states run gate by
-# gate, where the gather costs more than it saves.  On one core of a shared x86-64 host (numpy
-# 2.4) it saves a fifth of the 14-wire network's phase time, breaks even at 12 wires, and costs
-# a third more on stacks of 4-wire states and 6 to 29 % more on 2-gate runs at 11 to 18 wires.
+# A run of CPHASE gates on one wire goes through _phase_half when it has at least _HALF_RUN_GATES
+# gates and each state has at least _HALF_RUN_WIRES wires.  Shorter runs and smaller states run
+# gate by gate, where the gather costs more than it saves.  Both are measured crossovers, on one
+# core of a shared x86-64 host (numpy 2.4), timing the CPHASE gates of the n-wire network with
+# and without the gather: it costs 5 % more at 10 wires (a third more on stacks of 4-wire states),
+# breaks even at 11, and saves 6 % at 12 wires, 11 % at 13 and 17 % at 14; 2-gate runs lose at
+# every width from 11 to 18.
 _HALF_RUN_GATES = 3
+_HALF_RUN_WIRES = 12
 
 
 def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
@@ -439,7 +428,7 @@ def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
     n - 1 in all, so the buffer ends as a SWAP-by-SWAP run leaves it.  B stacked states each run
     as they would alone: every kernel works on its target bits only, with the same arithmetic on
     each amplitude, and only wires below n are relabelled."""
-    gather = amps.shape[-1] >= 2 * _BLOCK
+    gather = amps.shape[-1] >= 1 << _HALF_RUN_WIRES
     amps = amps.reshape(-1)
     workspace = None
     # wire_of[w] is the wire that holds the content of wire w, for every wire a SWAP has moved.
@@ -465,7 +454,7 @@ def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
             continue
         exchanged = _NAMED.get(gate.name, (None, None))[1]
         if exchanged:
-            _exchange(_unit_view(amps, targets), *exchanged)
+            _exchange(_wire_view(amps, targets), *exchanged)
         elif gate.name == "H":
             _hadamard(_wire_view(amps, targets), gate.matrix)
         elif len(targets) == 1:
@@ -479,7 +468,7 @@ def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
             # Exchanging wire p, which holds w, with the wire that holds p puts p home.
             p = wire_of[w]
             wire_of[w], wire_of[p] = wire_of[p], p
-            _exchange(_unit_view(amps, (p, wire_of[w])), *_NAMED["SWAP"][1])
+            _exchange(_wire_view(amps, (p, wire_of[w])), *_NAMED["SWAP"][1])
 
 
 def _phase_run(

@@ -1,9 +1,8 @@
 """The fast gate paths against the kernels they replace, byte for byte, and the shared named gates.
 
 Each fast path keeps its plain counterpart as the oracle: a run of CPHASE gates on a gathered half
-(`_phase_half`) against one `_phase` per gate, H's three-product butterfly (`_hadamard`) against
-`_butterfly`, and exchanges of whole runs (`_unit_view`) against exchanges of single amplitudes
-(`_wire_view`).  The states include exact zeros of both signs, where a sum written the other way
+(`_phase_half`) against one `_phase` per gate, and H's three-product butterfly (`_hadamard`)
+against `_butterfly`.  The states include exact zeros of both signs, where a sum written the other way
 round (t0 - t1 for t0 + w) shows as a flipped sign bit.
 """
 from __future__ import annotations
@@ -28,7 +27,7 @@ from abelianfft import (
     simulator,
     swap_gate,
 )
-from abelianfft.simulator import _NAMED, _butterfly, _exchange, _hadamard, _phase, _phase_half, _unit_view, _wire_view
+from abelianfft.simulator import _NAMED, _butterfly, _exchange, _hadamard, _phase, _phase_half, _wire_view
 
 from testutil import random_unitary
 
@@ -119,32 +118,8 @@ def test_hadamard_keeps_the_sign_of_an_exact_zero():
     assert np.signbit(amps.real).tolist() == np.signbit(want.real).tolist() == [False, False]
 
 
-def _exchanges(n):
-    # (targets, the two index slices) for X on every wire and CNOT and SWAP on every ordered pair.
-    wires = _wires(n)
-    yield from (((t,), _NAMED["X"][1]) for t in wires)
-    for a in wires:
-        for b in wires:
-            if a != b:
-                yield (a, b), _NAMED["CNOT"][1]
-                yield (a, b), _NAMED["SWAP"][1]
-
-
-@pytest.mark.parametrize("n", WIDTHS)
-def test_unit_exchanges_equal_amplitude_exchanges(n):
-    amps = _states(n)[1]
-    for targets, slices in _exchanges(n):
-        want, got = amps.copy(), amps.copy()
-        _exchange(_wire_view(want, targets), *slices)
-        view = _unit_view(got, targets)
-        lo = min(targets)
-        assert view.itemsize == (16 << lo if 1 <= lo <= 5 else 16)
-        _exchange(view, *slices)
-        assert got.tobytes() == want.tobytes(), (n, targets)
-
-
 def _oracle_run(amps, gates):
-    # One plain kernel per gate, on the listed wires: no relabelling, no runs, no units.
+    # One plain kernel per gate, on the listed wires: no relabelling, no runs.
     workspace = None
     for gate in gates:
         view = _wire_view(amps, gate.targets)
@@ -185,7 +160,7 @@ def test_runs_equal_gate_by_gate_plain_kernels(n):
 
 
 def test_the_network_takes_the_gathered_half(monkeypatch):
-    # From 14 wires on every level's run of three or more phases goes through _phase_half; the
+    # From 12 wires on every level's run of three or more phases goes through _phase_half; the
     # shorter runs, and every run on fewer wires, go through _phase one gate at a time.
     calls = {"half": 0, "phase": 0}
     half, phase = simulator._phase_half, simulator._phase
@@ -200,14 +175,14 @@ def test_the_network_takes_the_gathered_half(monkeypatch):
 
     monkeypatch.setattr(simulator, "_phase_half", counted_half)
     monkeypatch.setattr(simulator, "_phase", counted_phase)
-    run_program(compile_qft(14).to_program())
-    assert calls == {"half": 11, "phase": 3}
+    run_program(compile_qft(12).to_program())
+    assert calls == {"half": 9, "phase": 3}
     calls.update(half=0, phase=0)
-    run_program(compile_qft(13).to_program())
-    assert calls == {"half": 0, "phase": 78}
+    run_program(compile_qft(11).to_program())
+    assert calls == {"half": 0, "phase": 55}
 
 
-def test_cphase_run_and_unit_exchanges_allocate_under_one_mib_at_22_qubits():
+def test_cphase_run_and_exchanges_allocate_under_one_mib_at_22_qubits():
     n = 22
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[[0, 5, 1 << 20, (1 << n) - 1]] = 0.5
