@@ -1,5 +1,6 @@
-"""Fast group transforms: coset recursion over a subgroup tower, the radix-2 split, and the
-in-place transform for (Z_2)^n, with exact tallies of complex multiplies and adds."""
+"""Fast group transforms: coset recursion over a subgroup tower, the radix-2 split as a
+constant-geometry network whose bit reversal is one permutation of its output, and the
+transform for (Z_2)^n, with exact tallies of complex multiplies and adds."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -277,10 +278,11 @@ def fft_tower(
     return spectrum, report
 
 
-@lru_cache(maxsize=32)
 def _twiddle_table(size: int) -> np.ndarray:
     # w^j for j < size/2 with w = exp(2 pi i / size), built by repeated multiplication
-    # and renormalised every 64 steps to stop drift in the modulus.
+    # and renormalised every 64 steps to stop drift in the modulus.  Not cached: the stage
+    # tables below hold these values, and one cached form keeps the resident tables at
+    # 16 B per entry of the largest transform.
     half = size // 2
     step = complex(np.exp(2j * np.pi / size))
     out = np.empty(half, dtype=np.complex128)
@@ -290,6 +292,16 @@ def _twiddle_table(size: int) -> np.ndarray:
             current /= abs(current)
         out[j] = current
         current *= step
+    return out
+
+
+@lru_cache(maxsize=32)
+def _stage_twiddles(stage: int) -> np.ndarray:
+    # The odd half's factors of the size-2^(stage+1) butterflies, 1/sqrt(2) folded in, in
+    # stage-bit-reversed order: the order in which the constant-geometry stage meets them.
+    width = 1 << stage
+    order = np.arange(width).reshape((2,) * stage).transpose().reshape(-1)
+    out = (_twiddle_table(2 * width) * _INV_SQRT2)[order]
     out.setflags(write=False)
     return out
 
@@ -297,34 +309,36 @@ def _twiddle_table(size: int) -> np.ndarray:
 def fft_radix2(n: int, f: Sequence[complex] | np.ndarray) -> tuple[np.ndarray, OpCountReport]:
     """Size-2^n transform by the even/odd coset split, run as n butterfly stages.
 
-    The input is permuted into bit-reversed order (a transpose of its n binary
-    axes), where every run of 2^m entries holds the inputs of one size-2^m
-    sub-transform; stage m then combines the two halves of every run at once.
-    Both halves of the butterfly carry the 1/sqrt(2) of their level, so each
-    stage performs exactly 2^n multiplies and 2^n adds.  The stages run through
-    two buffers: each writes its scaled halves into the second, as two
-    contiguous blocks, and its butterflies back into the first, so the
-    caller's array is only read.
+    The stages form a constant-geometry network (Pease, J. ACM 15(2), 1968): stage k
+    pairs the entries of the buffer's two contiguous halves, scales the first by
+    1/sqrt(2) and the second by the twiddles of the size-2^(k+1) level (1/sqrt(2)
+    folded in), and writes each pair's sum and difference side by side.  A twiddle
+    depends only on the low k bits of its position, so one cached read-only table of
+    2^k entries broadcasts over rows.  Each stage carries the combined bit from the
+    top of the position to the bottom, so the input needs no permutation and the
+    spectrum ends in bit-reversed order; one permutation of the output puts it back,
+    as the compiled network's relabel mode defers its wire reversal to the end.  Every
+    butterfly combines the operands of the textbook split (bit-reversed input, in-place
+    butterflies) with the same arithmetic, so the spectrum has the same bytes, and each
+    stage performs exactly 2^n multiplies and 2^n adds.  The stages alternate between
+    two buffers, one of which returns as the spectrum; the caller's array is only read.
     """
     if not _is_int(n) or n < 0:
         raise ValueError(f"qubit count {n!r} must be a nonnegative integer")
     n = int(n)
     vec = _as_vector(f, 1 << n)
-    data = vec.reshape((2,) * n).transpose().flatten()
-    scaled = np.empty_like(data)
-    mults = 0
-    adds = 0
-    for level in range(1, n + 1):
-        size = 1 << level
-        halves = data.reshape(-1, 2, size // 2)
-        even, odd = scaled.reshape(2, -1, size // 2)
-        np.multiply(halves[:, 0], _INV_SQRT2, out=even)
-        np.multiply(halves[:, 1], _twiddle_table(size) * _INV_SQRT2, out=odd)
-        np.add(even, odd, out=halves[:, 0])
-        np.subtract(even, odd, out=halves[:, 1])
-        mults += data.size
-        adds += data.size
-    return data, OpCountReport(mults, adds, n * (1 << n))
+    half = vec.size // 2
+    source, scaled, target = vec, np.empty_like(vec), np.empty_like(vec)
+    for stage in range(n):
+        rows = (-1, 1 << stage)
+        np.multiply(source[:half], _INV_SQRT2, out=scaled[:half])
+        np.multiply(source[half:].reshape(rows), _stage_twiddles(stage), out=scaled[half:].reshape(rows))
+        np.add(scaled[:half], scaled[half:], out=target[0::2])
+        np.subtract(scaled[:half], scaled[half:], out=target[1::2])
+        # Every later stage scales its source where it lies: only stage 0 reads the caller's array.
+        source, scaled, target = target, target, scaled
+    np.copyto(target.reshape((2,) * n), source.reshape((2,) * n).transpose())
+    return target, OpCountReport(n * vec.size, n * vec.size, n * vec.size)
 
 
 def walsh_hadamard(n: int, f: Sequence[complex] | np.ndarray) -> np.ndarray:

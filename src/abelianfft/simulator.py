@@ -20,16 +20,17 @@ per target wire:
   consecutive CPHASE gates that share a wire run on that wire's set half, copied
   in blocks into contiguous memory, where each gate multiplies its phase in gate
   order before the block is copied back;
-- a raw 4x4 matrix gathers the (4, -1) reshape of the view into the first half
-  of the run's workspace, zgemm writes the product into its second half, and
-  the product is copied back through the view.
+- a raw 4x4 matrix gathers the (4, -1) reshape of the view into the run's
+  workspace, zgemm writes the product beside it, and the product is copied back
+  through the view, in column blocks of at most 2 * `_BLOCK` amplitudes.
 
 Each fast path gives every amplitude the arithmetic of the plain kernel it
 stands for, in the same order, so its bytes are those of `_butterfly` or of
 one `_phase` per gate, the oracles the tests keep.  Butterflies and exchanges
-work in blocks of at most `_BLOCK` pairs and CPHASE runs in blocks of at most
-`_BLOCK` amplitudes, so a gate on the top wire needs no temporary the size of
-the state.  The workspace holds twice the state; `run_program` makes it when
+work in blocks of at most `_BLOCK` pairs, CPHASE runs in blocks of at most
+`_BLOCK` amplitudes and raw 4x4 products in blocks of at most 2 * `_BLOCK`, so no
+gate needs a temporary the size of the state.  The workspace holds two product
+blocks, 512 KiB at most; `run_program` makes it when
 the first raw 4x4 gate runs and reuses it for every later one, so a program
 without raw 4x4 gates never has it.  The named gates come from one table,
 `_NAMED`, through one validator, `_named_matrix`: one shared read-only matrix
@@ -77,16 +78,18 @@ _DRAW_BLOCK = 1 << 16
 SHOT_CAP = 1 << 31
 
 
-def _blocks(shape: tuple[int, ...]) -> Iterator[tuple]:
-    """Index tuples that cover an array of this shape in pieces of at most _BLOCK entries."""
+def _blocks(shape: tuple[int, ...], limit: int | None = None) -> Iterator[tuple]:
+    """Index tuples that cover an array of this shape, in row-major order, in pieces of at most
+    `limit` entries (a power of two, _BLOCK by default), each piece a run of consecutive entries."""
+    limit = limit or _BLOCK
     inner = prod(shape[1:])
-    if inner <= _BLOCK:
-        rows = _BLOCK // inner
+    if inner <= limit:
+        rows = limit // inner
         for start in range(0, shape[0], rows):
             yield (slice(start, start + rows),)
     else:
         for row in range(shape[0]):
-            for rest in _blocks(shape[1:]):
+            for rest in _blocks(shape[1:], limit):
                 yield (row,) + rest
 
 
@@ -170,13 +173,27 @@ def _phase_half(amps: np.ndarray, wire: int, phases: Sequence[tuple[int, complex
         np.copyto(block, gathered)
 
 
+def _product_columns() -> int:
+    """Columns in one block of the raw 4x4 product: 2 * _BLOCK amplitudes, the amplitudes of a
+    butterfly's block of pairs, but never fewer than four columns.  zgemm rounds a product one or
+    two columns wide differently from the same columns inside a wider one (numpy 2.4's OpenBLAS
+    on x86-64); from four columns up, blocks of any power of two give the whole product's bytes.
+    Blocks of _BLOCK amplitudes were measured slower on the 14-qubit circuit: with the smaller
+    workspace glibc maps and trims the state-sized buffers of the run and of its caller afresh."""
+    return max(_BLOCK // 2, 4)
+
+
 def _product(view: np.ndarray, u: np.ndarray, workspace: np.ndarray) -> None:
-    """Multiply the (4, -1) gather of the view by u, through a workspace of 2 * view.size entries:
-    the gather fills its first half and zgemm writes into its second."""
-    gathered, product = workspace[: view.size].reshape(view.shape), workspace[view.size :].reshape(4, -1)
-    np.copyto(gathered, view)
-    np.matmul(u, gathered.reshape(4, -1), out=product)
-    np.copyto(view, product.reshape(view.shape))
+    """Multiply the (4, -1) gather of the view by u in column blocks of _product_columns(),
+    through a workspace of at least 8 * min(view.size // 4, _product_columns()) entries: each
+    block's gather fills its front and zgemm writes the block's product right after it."""
+    for block in _blocks(view.shape[2:], _product_columns()):
+        part = view[(slice(None), slice(None)) + block]
+        gathered = workspace[: part.size].reshape(part.shape)
+        product = workspace[part.size : 2 * part.size].reshape(4, -1)
+        np.copyto(gathered, part)
+        np.matmul(u, gathered.reshape(4, -1), out=product)
+        np.copyto(part, product.reshape(part.shape))
 
 
 def _check_unitary(matrix: np.ndarray) -> None:
@@ -421,13 +438,13 @@ def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
     """Run the gates in order, in place, on a writable contiguous buffer of one 2^n-amplitude
     state or a (B, 2^n) stack of them, by the kernel each gate's name picks: CPHASE the phase, X
     and CNOT the exchange, H its own butterfly and other 2x2 gates the blocked butterfly, raw 4x4
-    gates the product into one workspace made at the first of them.  Consecutive CPHASE gates
-    that share a wire run together on that wire's set half (_phase_half).  A SWAP moves no
-    amplitude: it relabels its two wires, and every later gate runs on the wires its targets now
-    live on.  After the last gate each cycle of displaced wires is put back by exchanges, at most
-    n - 1 in all, so the buffer ends as a SWAP-by-SWAP run leaves it.  B stacked states each run
-    as they would alone: every kernel works on its target bits only, with the same arithmetic on
-    each amplitude, and only wires below n are relabelled."""
+    gates the blocked product through one workspace made at the first of them.  Consecutive
+    CPHASE gates that share a wire run together on that wire's set half (_phase_half).  A SWAP
+    moves no amplitude: it relabels its two wires, and every later gate runs on the wires its
+    targets now live on.  After the last gate each cycle of displaced wires is put back by
+    exchanges, at most n - 1 in all, so the buffer ends as a SWAP-by-SWAP run leaves it.  B
+    stacked states each run as they would alone: every kernel works on its target bits only, with
+    the same arithmetic on each amplitude, and only wires below n are relabelled."""
     gather = amps.shape[-1] >= 1 << _HALF_RUN_WIRES
     amps = amps.reshape(-1)
     workspace = None
@@ -461,7 +478,7 @@ def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
             _butterfly(_wire_view(amps, targets), gate.matrix)
         else:
             if workspace is None:
-                workspace = np.empty(2 * amps.size, dtype=np.complex128)
+                workspace = np.empty(8 * min(amps.size // 4, _product_columns()), dtype=np.complex128)
             _product(_wire_view(amps, targets), gate.matrix, workspace)
     for w in wire_of:
         while wire_of[w] != w:

@@ -1,8 +1,10 @@
-"""Tower and radix-2 transforms against the dense oracle, plus exact operation counts."""
+"""Tower and radix-2 transforms against the dense oracle, radix-2 against the stage-by-stage kernel
+it replaced, byte for byte, plus exact operation counts."""
 from __future__ import annotations
 
 import hashlib
 import tracemalloc
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -26,7 +28,7 @@ from abelianfft import (
     walsh_hadamard,
 )
 from abelianfft import fastfft
-from abelianfft.fastfft import _TowerPlan
+from abelianfft.fastfft import _INV_SQRT2, OpCountReport, _stage_twiddles, _TowerPlan, _twiddle_table
 from abelianfft.groups import full_subgroup
 
 from test_acceptance import TOL_TRANSFORM
@@ -455,6 +457,82 @@ def test_radix2_twiddle_drift_bounded():
     vec = random_vector(4096, np.random.default_rng(0))
     out, _ = fft_radix2(12, vec)
     assert np.max(np.abs(out - apply_dense(make_group([4096]), vec))) < 1e-9
+
+
+@lru_cache(maxsize=None)
+def _scaled_twiddles(size):
+    return _twiddle_table(size) * _INV_SQRT2
+
+
+def _radix2_oracle(n, vec):
+    # The stage-by-stage kernel the constant-geometry network replaced: the input permuted into
+    # bit-reversed order, then stage m combines the two halves of every run of 2^m entries in place.
+    data = vec.reshape((2,) * n).transpose().flatten()
+    mults = adds = 0
+    for level in range(1, n + 1):
+        size = 1 << level
+        halves = data.reshape(-1, 2, size // 2)
+        even = halves[:, 0] * _INV_SQRT2
+        odd = halves[:, 1] * _scaled_twiddles(size)
+        halves[:, 0] = even + odd
+        halves[:, 1] = even - odd
+        mults += data.size
+        adds += data.size
+    return data, OpCountReport(mults, adds, n * (1 << n))
+
+
+def _radix2_inputs(n, rng):
+    size = 1 << n
+    # Parts drawn from +0, -0, +1, -1 and a random magnitude, so signed zeros meet in every butterfly.
+    parts = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 0.3]), size=(2, size))
+    # Every basis vector up to 16 entries, a few past that.
+    basis = range(size) if n <= 4 else [0, 1, int(rng.integers(size)), size - 1]
+    yield random_vector(size, rng)
+    yield parts[0] + 1j * parts[1]
+    for index in basis:
+        vec = np.zeros(size, dtype=np.complex128)
+        vec[index] = 1.0
+        yield vec
+
+
+@pytest.mark.parametrize("n", list(range(0, 17)) + [20])
+def test_radix2_equals_the_stage_by_stage_kernel_bit_for_bit(n):
+    for vec in _radix2_inputs(n, np.random.default_rng(3000 + n)):
+        out, report = fft_radix2(n, vec)
+        want, want_report = _radix2_oracle(n, vec)
+        assert out.tobytes() == want.tobytes(), n
+        assert report == want_report
+
+
+def test_stage_twiddles_are_their_definition_read_only_and_bounded():
+    for stage in range(15):
+        table = _stage_twiddles(stage)
+        width = 1 << stage
+        reversed_rows = [int(format(r, f"0{stage}b")[::-1], 2) for r in range(width)]
+        assert table.tobytes() == _scaled_twiddles(2 * width)[reversed_rows].tobytes(), stage
+        with pytest.raises(ValueError):
+            table[0] = 0
+        assert _stage_twiddles(stage) is table
+    limit = _stage_twiddles.cache_info().maxsize
+    assert limit is not None and limit >= 20
+    # The scaled tables are the only cached twiddles: the tower of w^j tables is built per stage.
+    assert not hasattr(_twiddle_table, "cache_info")
+
+
+def test_radix2_peak_memory_is_two_state_buffers():
+    n = 20
+    vec = random_vector(1 << n, np.random.default_rng(20))
+    fft_radix2(n, vec)  # warm the stage tables
+    tracemalloc.start()
+    try:
+        out, _ = fft_radix2(n, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The two buffers the stages alternate between, one of which returns as the spectrum.  The
+    # stage-by-stage kernel peaked at 40 MiB: its two buffers and the bit-reversal's copy.
+    assert peak < 2 * vec.nbytes + 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert not np.shares_memory(out, vec)
 
 
 @pytest.mark.parametrize("n", range(0, 11))

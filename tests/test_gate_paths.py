@@ -1,8 +1,9 @@
 """The fast gate paths against the kernels they replace, byte for byte, and the shared named gates.
 
 Each fast path keeps its plain counterpart as the oracle: a run of CPHASE gates on a gathered half
-(`_phase_half`) against one `_phase` per gate, and H's three-product butterfly (`_hadamard`)
-against `_butterfly`.  The states include exact zeros of both signs, where a sum written the other way
+(`_phase_half`) against one `_phase` per gate, H's three-product butterfly (`_hadamard`)
+against `_butterfly`, and the raw 4x4 product in column blocks against one product of the whole
+state.  The states include exact zeros of both signs, where a sum written the other way
 round (t0 - t1 for t0 + w) shows as a flipped sign bit.
 """
 from __future__ import annotations
@@ -200,6 +201,45 @@ def test_cphase_run_and_exchanges_allocate_under_one_mib_at_22_qubits():
     want = np.zeros(1 << n, dtype=np.complex128)
     want[[0, 5, 1 << 20, (1 << n) - 1]] = 0.5
     assert np.array_equal(amps, _oracle_run(want, run + exchanges))
+
+
+def _whole_product(view, u):
+    # One zgemm over the whole (4, -1) gather, as the product ran before it was blocked.
+    view[...] = np.matmul(u, np.ascontiguousarray(view).reshape(4, -1)).reshape(view.shape)
+
+
+@pytest.mark.parametrize("n", [n for n in WIDTHS if n >= 2])
+def test_blocked_product_equals_the_whole_state_product(n):
+    # Up to 24 ordered wire pairs per state (6 at 20 qubits, where the state spans 64 blocks).
+    rng = np.random.default_rng(940 + n)
+    wires = _wires(n)
+    pairs = [(a, b) for a in wires for b in wires if a != b]
+    for amps in _states(n):
+        for pair in [pairs[i] for i in rng.permutation(len(pairs))[: 6 if n > 16 else 24]]:
+            u = random_unitary(4, rng)
+            want, got = amps.copy(), amps.copy()
+            _whole_product(_wire_view(want, pair), u)
+            simulator._run_gates(got, (Gate(u, pair),))
+            assert got.tobytes() == want.tobytes(), (n, pair)
+
+
+def test_raw_product_allocates_under_one_mib_at_22_qubits():
+    n = 22
+    rng = np.random.default_rng(960)
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[[0, 5, 1 << 20, (1 << n) - 1]] = 0.5
+    gates = (Gate(random_unitary(4, rng), (n - 1, 0)), Gate(random_unitary(4, rng), (2, 13)))
+    want = amps.copy()
+    tracemalloc.start()
+    try:
+        simulator._run_gates(amps, gates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+    for gate in gates:
+        _whole_product(_wire_view(want, gate.targets), gate.matrix)
+    assert amps.tobytes() == want.tobytes()
 
 
 def test_named_gates_are_shared():
