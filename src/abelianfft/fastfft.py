@@ -130,6 +130,8 @@ def _peel_tower(group: AbelianGroup) -> SubgroupTower:
     members = np.arange(group.order, dtype=np.int64)
     levels: list[Subgroup] = []
     for position, m in enumerate(group.moduli):
+        if m == 1:
+            continue
         column = group.coords_table[:, position]
         # The factors after this one are whole (d_i = 1); their generators are the least.
         later = sorted(w for w, mi in zip(group.weights[position + 1:], group.moduli[position + 1:]) if mi > 1)
@@ -160,7 +162,13 @@ class _TowerPlan:
     Sub-transform outputs are indexed by the distinct restrictions of the
     group's characters to that level, i.e. by cosets of the level's
     annihilator in the label group.  Class representatives are minimal, and
-    each class maps into the class of the next level that contains it.
+    each class maps into the class of the next level that contains it.  The
+    classes are numbered, deepest level first, as (place in fibre) * below +
+    child, below being the classes one level down and a fibre the classes over
+    one of them, so every map is arange(classes) % below and a level's twiddles
+    are (fibres, below, reps).  Only the top level, the labels, can end out of
+    order: `spectrum_order` holds each label's place, the identity on every
+    tower build_tower makes.
 
     The recursion's nodes at depth d are the cosets of level d-1 (level -1
     being the group), node i's children being nodes i*R .. i*R + R - 1 for
@@ -183,7 +191,7 @@ class _TowerPlan:
         above, labels, class_of = everything, everything, everything
         # Per level: the minimal representative of each of its cosets in the level above, the
         # twiddles of those representatives, and the class below of each class above.
-        level_reps, twiddles, child_class = [], [], []
+        level_reps, twiddles, class_below = [], [], []
         # Coset offsets of every node, one translate per level.
         shifts = np.zeros(1, dtype=np.int64)
         for level in tower.levels:
@@ -209,15 +217,25 @@ class _TowerPlan:
             child = (np.cumsum(is_least) - 1)[least]
             level_reps.append(reps)
             twiddles.append(_characters(group, label_coords, group._coords(reps)))
-            child_class.append(child)
+            class_below.append(child)
             shifts = group._shift(shifts[:, None], reps[None, :]).reshape(-1)
             above, labels, class_of = level._indices, labels[is_least], child[class_of]
 
         self.base_gather = group._shift(shifts[:, None], above[None, :])
         self.base_table = _characters(group, group._coords(labels), group._coords(above))
+        # Renumber deepest first; a level whose map is already periodic keeps its twiddle table.
+        place = everything[:len(labels)]
+        for depth in reversed(range(len(twiddles))):
+            child, below = place[class_below[depth]], len(place)
+            place = everything[:len(child)]
+            if not (child.reshape(-1, below) == place[:below]).all():
+                order = np.argsort(child, kind="stable").reshape(below, -1).T.reshape(-1)
+                place = np.argsort(order)
+                twiddles[depth] = twiddles[depth][order]
+            twiddles[depth] = twiddles[depth].reshape(-1, below, len(level_reps[depth]))
         # Every transform over the tower shares this plan, so none of it may be written.
-        self.reps, self.twiddles, self.child_class = tuple(level_reps), tuple(twiddles), tuple(child_class)
-        for array in (*self.reps, *self.twiddles, *self.child_class, self.base_gather, self.base_table):
+        self.reps, self.twiddles, self.spectrum_order = tuple(level_reps), tuple(twiddles), place
+        for array in (*self.reps, *self.twiddles, self.spectrum_order, self.base_gather, self.base_table):
             array.setflags(write=False)
 
 
@@ -241,8 +259,10 @@ def fft_tower(
     and every later transform over it reads the same one.  The transform then
     gathers the input onto the deepest cosets, transforms them all in one
     product with the base table, and climbs back up, combining the nodes of a
-    level in blocks of bounded size in the order the recursion would.  The
-    tallies count this execution, not the plan.
+    level in blocks of bounded size in the order the recursion would.  A
+    class's child is its index modulo the classes below, so each level
+    broadcasts its children against the twiddles, and one permutation puts
+    the spectrum in label order.  The tallies count this execution, not the plan.
     """
     if tower.group != group:
         raise ValueError("tower belongs to a different group")
@@ -253,25 +273,26 @@ def fft_tower(
     out = values @ plan.base_table.T
     mults = len(values) * k * k
     adds = len(values) * k * (k - 1)
-    for twiddles, child_class in zip(reversed(plan.twiddles), reversed(plan.child_class)):
-        classes, reps = twiddles.shape
-        children = out.reshape(-1, reps, out.shape[1])
+    for twiddles in reversed(plan.twiddles):
+        fibres, below, reps = twiddles.shape
+        children = out.reshape(-1, reps, below)
         if reps <= _REP_BY_REP:
             # Add the reps' terms one at a time, in the order np.sum adds so few.
-            out = twiddles[:, 0] * children[:, 0, child_class]
+            out = twiddles[..., 0] * children[:, 0, None, :]
             for j in range(1, reps):
-                out += twiddles[:, j] * children[:, j, child_class]
+                out += twiddles[..., j] * children[:, j, None, :]
         else:
-            out = np.empty((len(children), classes), dtype=np.complex128)
+            out = np.empty((len(children), fibres, below), dtype=np.complex128)
             step = max(1, _LEVEL_BLOCK_ENTRIES // twiddles.size)
             for start in range(0, len(children), step):
-                # (node, class, rep): each twiddle sum runs along the unit-stride rep axis, as the recursion's did.
-                block = children[start:start + step].transpose(0, 2, 1)[:, child_class]
-                out[start:start + step] = np.sum(twiddles * block, axis=2)
+                # (node, fibre, child, rep): each twiddle sum runs along the unit-stride rep axis, as the recursion's did.
+                block = children[start:start + step].transpose(0, 2, 1)[:, None]
+                out[start:start + step] = np.sum(twiddles * block, axis=3)
         mults += out.size * reps
         adds += out.size * (reps - 1)
 
-    spectrum = out[0] / sqrt(group.order)
+    spectrum = out.reshape(-1)[plan.spectrum_order]
+    spectrum /= sqrt(group.order)
     mults += group.order
     first = tower.levels[0].order
     report = OpCountReport(mults, adds, predict_cost(group.order, first))

@@ -23,9 +23,11 @@ def _is_int(value: object) -> bool:
 
 
 def _check_order(order: int, cap: int, what: str) -> None:
-    """The one refusal of a group order above a cap, made before anything of that order is built."""
+    """The one refusal of a group order above a cap, made before anything of that order is built.
+    An order of 2^64 or more is named by its bit length: its digits have no bound."""
     if order > cap:
-        raise ValueError(f"group order {order} exceeds the {what} cap {cap}")
+        shown = order if order < 1 << 64 else f"of {order.bit_length()} bits"
+        raise ValueError(f"group order {shown} exceeds the {what} cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -221,11 +223,13 @@ _FACTOR_RE = re.compile(r"^[Zz](\d+)(?:\^(\d+))?$")
 
 
 def parse_group_spec(text: str) -> AbelianGroup:
-    """Parse a group description like "Z4", "Z2xZ3" or "Z2^3"."""
+    """Parse a group description like "Z4", "Z2xZ3" or "Z2^3".  A factor that takes the order
+    past MAX_ORDER is refused by name before the moduli are expanded."""
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty group description")
     moduli: list[int] = []
+    order = 1
     for token in re.split(r"[xX]", cleaned):
         m = _FACTOR_RE.match(token)
         if m is None:
@@ -236,6 +240,9 @@ def parse_group_spec(text: str) -> AbelianGroup:
             raise ValueError(f"bad group factor {token!r}: modulus must be >= 1")
         if power < 1:
             raise ValueError(f"bad group factor {token!r}: exponent must be >= 1")
+        # base^power >= 2^(power (bits - 1)), so base**power is formed only below 2^125.
+        if base > 1 and (power * (base.bit_length() - 1) >= 63 or (order := order * base**power) > MAX_ORDER):
+            raise ValueError(f"group factor {token!r} takes the order past the 64-bit index cap {MAX_ORDER}")
         moduli.extend([base] * power)
     return make_group(moduli)
 

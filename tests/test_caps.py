@@ -3,16 +3,23 @@ message form per kind of cap, and a refusal before anything of that size is allo
 from __future__ import annotations
 
 import json
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from abelianfft import DENSE_CAP, STATE_CAP, FunctionTable, dense_fourier_matrix, find_period, make_group
+from abelianfft import (
+    DENSE_CAP, STATE_CAP, FunctionTable, dense_fourier_matrix, find_period, make_group, parse_group_spec,
+)
 from abelianfft.cli import main
 from abelianfft.groups import MAX_ORDER
 from abelianfft.period import EXACT_CAP, SIMULATE_CAP
 from abelianfft.simulator import SHOT_CAP, new_state, sample
+
+from testutil import package_env
 
 # Built before any measurement: only the refusal of find_period is measured.
 _Z4097_TABLE = FunctionTable(make_group([4097]), tuple(range(4097)))
@@ -88,3 +95,42 @@ def test_shot_cap_refuses_before_the_first_draw(route, tmp_path, capsys):
         tracemalloc.stop()
     assert message == f"shot count {SHOT_CAP + 1} exceeds the shot cap {SHOT_CAP}"
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("spec, factor", [("Z2^63", "Z2^63"), ("Z3x Z2^62", "Z2^62"), ("Z4^31xZ2", "Z2"),
+                                          ("Z9223372036854775807xZ2", "Z2"), ("Z2^64", "Z2^64")])
+def test_group_spec_is_refused_by_factor_before_it_is_expanded(spec, factor):
+    with pytest.raises(ValueError) as refused:
+        parse_group_spec(spec)
+    assert str(refused.value) == f"group factor {factor!r} takes the order past the 64-bit index cap {MAX_ORDER}"
+
+
+def test_group_spec_at_the_cap_is_accepted():
+    assert parse_group_spec("Z2^62xZ1^3").order == 2**62
+    assert parse_group_spec("Z9223372036854775807").order == MAX_ORDER
+
+
+def test_order_past_64_bits_is_named_by_its_bit_length():
+    with pytest.raises(ValueError) as refused:
+        make_group([2] * 100000)
+    assert str(refused.value) == f"group order of 100001 bits exceeds the 64-bit index cap {MAX_ORDER}"
+
+
+def _address_space_of_2_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+# Specs whose expansion alone would take seconds or all of memory, and orders with tens of
+# thousands of digits, more than Python will format.
+@pytest.mark.parametrize("spec", ["Z2^64", "Z2^100000", "Z2^1000000", "Z2^1000000000"])
+def test_hostile_group_spec_exits_with_one_short_error_line(spec, tmp_path):
+    vector = tmp_path / "vector.json"
+    vector.write_text("[[1, 0], [0, 0]]", encoding="utf-8")
+    command = [sys.executable, "-m", "abelianfft.cli", "fft", "--group", spec, "--input", str(vector)]
+    # One BLAS thread, so that the address space numpy maps at import does not grow with the cores.
+    env = dict(package_env(), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run(command, capture_output=True, text=True, env=env, timeout=20,
+                         preexec_fn=_address_space_of_2_gib)
+    lines = run.stderr.splitlines()
+    assert run.returncode == 1 and run.stdout == "" and len(lines) == 1, run.stderr[:300]
+    assert lines[0].startswith("error: ") and "64-bit index cap" in lines[0] and len(lines[0]) < 300

@@ -3,12 +3,16 @@ it replaced, byte for byte, plus exact operation counts."""
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
 from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelianfft import (
     Subgroup,
@@ -29,10 +33,10 @@ from abelianfft import (
 )
 from abelianfft import fastfft
 from abelianfft.fastfft import _INV_SQRT2, OpCountReport, _stage_twiddles, _TowerPlan, _twiddle_table
-from abelianfft.groups import full_subgroup
+from abelianfft.groups import _characters, _phases, full_subgroup
 
 from test_acceptance import TOL_TRANSFORM
-from testutil import abelian_group_types, random_vector
+from testutil import _factorize, abelian_group_types, package_env, random_vector
 
 
 def _tower_error(group, rng):
@@ -259,6 +263,16 @@ def test_repeated_group_reuses_its_tower_and_plan_bit_for_bit(moduli):
         assert again == report
 
 
+def test_build_tower_skips_trivial_factors():
+    with_ones, without = build_tower(make_group([1, 2, 1, 1, 3, 1])), build_tower(make_group([2, 3]))
+    assert [(level.members, level.generators()) for level in with_ones.levels] == \
+        [(level.members, level.generators()) for level in without.levels]
+    # A hundred thousand Z1 factors: one pass over them, not one rebuilt list of later factors each.
+    script = "from abelianfft import build_tower, make_group; print(build_tower(make_group([2] + [1] * 10**5)).indices)"
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=package_env(), timeout=20)
+    assert run.returncode == 0 and run.stdout == "(2,)\n", run.stderr[-300:]
+
+
 def test_build_tower_tells_factor_orders_apart():
     left, right = build_tower(make_group([2, 4])), build_tower(make_group([4, 2]))
     assert left is not right
@@ -290,7 +304,7 @@ def test_cached_plan_is_read_only():
     tower = build_tower(group)
     fft_tower(group, tower, np.ones(group.order))
     plan = tower._plan
-    arrays = [*plan.reps, *plan.twiddles, *plan.child_class, plan.base_gather, plan.base_table]
+    arrays = [*plan.reps, *plan.twiddles, plan.spectrum_order, plan.base_gather, plan.base_table]
     arrays += [level._indices for level in tower.levels]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -359,6 +373,121 @@ def test_plan_representatives_are_the_parent_level_part_of_coset_decompose(group
         for reps, parent, level in zip(plan.reps, parents, tower.levels):
             oracle = [r for r in coset_decompose(group, level).representatives if r in parent.members]
             assert reps.tolist() == oracle
+
+
+def _generated_chains(group, rng, count=4, entries=1 << 21):
+    # Random chains on groups too large to enumerate: each level is p times the level above, for a
+    # prime p dividing its order, joined with the most of a few random members that leaves it proper.
+    # A chain stops before a level whose twiddle table (classes above times index) passes `entries`.
+    for _ in range(count):
+        levels, current = [], full_subgroup(group)
+        while current.order > 1:
+            p = int(rng.choice(list(_factorize(current.order))))
+            gens = [tuple(p * c % m for c, m in zip(group.coords_of(g), group.moduli)) for g in current.generators()]
+            extra = [group.coords_of(int(x)) for x in rng.choice(current._indices, size=rng.integers(group.rank + 1))]
+            while (level := subgroup_from_generators(group, gens + extra)).order == current.order:
+                extra.pop()
+            if current.order * (current.order // level.order) > entries:
+                break
+            levels.append(current := level)
+        if levels:
+            yield SubgroupTower(group, tuple(levels))
+
+
+def _label_classes(group, level):
+    # The class of every label on the level (labels agreeing on its generators), numbered by least label.
+    gens = group._coords(np.asarray(level.generators(), dtype=np.int64)).reshape(-1, group.rank)
+    key = np.column_stack([_phases(group, group.coords_table, gens), np.zeros(group.order, dtype=np.int64)])
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)]
+
+
+def _gather_pass(group, tower, vec):
+    # The upward pass as it ran when every level gathered its children through a class map, with
+    # classes numbered by least label, each found here from the labels' phases on the level.  It
+    # shares only the coset reps and the base gather and table with the plan.
+    plan = tower._plan
+    class_of = [np.arange(group.order)] + [_label_classes(group, level) for level in tower.levels]
+    values = vec[plan.base_gather]
+    k = values.shape[1]
+    out = values @ plan.base_table.T
+    mults = len(values) * k * k
+    adds = len(values) * k * (k - 1)
+    for depth in reversed(range(len(tower.levels))):
+        least = np.unique(class_of[depth], return_index=True)[1]
+        child_class = class_of[depth + 1][least]
+        twiddles = _characters(group, group._coords(least), group._coords(plan.reps[depth]))
+        classes, reps = twiddles.shape
+        children = out.reshape(-1, reps, out.shape[1])
+        if reps <= fastfft._REP_BY_REP:
+            out = twiddles[:, 0] * children[:, 0, child_class]
+            for j in range(1, reps):
+                out += twiddles[:, j] * children[:, j, child_class]
+        else:
+            out = np.empty((len(children), classes), dtype=np.complex128)
+            step = max(1, fastfft._LEVEL_BLOCK_ENTRIES // twiddles.size)
+            for start in range(0, len(children), step):
+                block = children[start:start + step].transpose(0, 2, 1)[:, child_class]
+                out[start:start + step] = np.sum(twiddles * block, axis=2)
+        mults += out.size * reps
+        adds += out.size * (reps - 1)
+    spectrum = out[0] / np.sqrt(group.order)
+    mults += group.order
+    return spectrum, OpCountReport(mults, adds, predict_cost(group.order, tower.levels[0].order))
+
+
+def _signed_inputs(order, rng):
+    # A random vector, and one whose parts are +0, -0, +1, -1 and 0.3, so signed zeros meet in every sum.
+    parts = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 0.3]), size=(2, order))
+    return random_vector(order, rng), parts[0] + 1j * parts[1]
+
+
+def _assert_broadcast_pass_is_the_gather_pass(group, towers, rng):
+    for tower in towers:
+        for vec in _signed_inputs(group.order, rng):
+            out, report = fft_tower(group, tower, vec)
+            want, want_report = _gather_pass(group, tower, vec)
+            assert out.tobytes() == want.tobytes(), [level.order for level in tower.levels]
+            assert report == want_report
+
+
+@pytest.mark.parametrize("group", abelian_group_types(64), ids=lambda g: g.spec_string())
+def test_broadcast_pass_equals_the_gather_pass_on_lattice_chains(group):
+    rng = np.random.default_rng(4000 + group.order)
+    _assert_broadcast_pass_is_the_gather_pass(group, _towers(group, rng), rng)
+
+
+@pytest.mark.parametrize("moduli", [(7,) * 4, (3,) * 8, (2, 4, 8, 16), (16, 1021)], ids=str)
+def test_broadcast_pass_equals_the_gather_pass_on_generated_chains(moduli):
+    group = make_group(list(moduli))
+    rng = np.random.default_rng(len(moduli))
+    towers = [build_tower(group), *_generated_chains(group, rng)]
+    _assert_broadcast_pass_is_the_gather_pass(group, towers, rng)
+
+
+@pytest.mark.parametrize("moduli, levels", [
+    ((4, 2), ([(1, 1)], [(2, 0)], [])),
+    ((2, 2), ([(1, 1)], [])),
+], ids=str)
+def test_towers_whose_labels_end_out_of_order(moduli, levels):
+    # Hand-built towers whose first class map is not periodic: the top level is renumbered, so the
+    # spectrum needs its permutation.
+    group = make_group(list(moduli))
+    tower = SubgroupTower(group, tuple(subgroup_from_generators(group, gens) for gens in levels))
+    assert not np.array_equal(tower._plan.spectrum_order, np.arange(group.order))
+    _assert_broadcast_pass_is_the_gather_pass(group, [tower], np.random.default_rng(group.order))
+
+
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@_SETTINGS
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=5).filter(lambda moduli: 1 < prod(moduli) <= 4096))
+def test_build_tower_needs_no_final_permutation(moduli):
+    group = make_group(moduli)
+    tower = build_tower(group)
+    assert tower._plan.spectrum_order.tobytes() == np.arange(group.order).tobytes()
+    _assert_broadcast_pass_is_the_gather_pass(group, [tower], np.random.default_rng(group.order))
 
 
 # High rank, then a long cyclic group and a large mixed one: the sizes where the plan's phase

@@ -3,6 +3,7 @@ dense gate oracles built independently of the strided kernels."""
 from __future__ import annotations
 
 import itertools
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,12 @@ import numpy as np
 from abelianfft import AbelianGroup, make_group
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+
+
+def package_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH, for a child interpreter."""
+    source = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH")))))
 
 
 def _factorize(n: int) -> dict[int, int]:
