@@ -220,6 +220,15 @@ def make_group(moduli: Sequence[int]) -> AbelianGroup:
 
 
 _FACTOR_RE = re.compile(r"^[Zz](\d+)(?:\^(\d+))?$")
+# A modulus or exponent with more digits than MAX_ORDER is past the cap, and is refused before
+# int() reads it: Python refuses strings of more than 4300 digits with a message naming no cap.
+_MAX_DIGITS = len(str(MAX_ORDER))
+# A spec comes from outside and has no length bound, so a message echoes at most this much of it.
+_ECHOED = 40
+
+
+def _echo(text: str) -> str:
+    return repr(text) if len(text) <= _ECHOED else f"{text[:_ECHOED]!r}..."
 
 
 def parse_group_spec(text: str) -> AbelianGroup:
@@ -233,16 +242,19 @@ def parse_group_spec(text: str) -> AbelianGroup:
     for token in re.split(r"[xX]", cleaned):
         m = _FACTOR_RE.match(token)
         if m is None:
-            raise ValueError(f"bad group factor {token!r} in {text!r} (expected Z<m> or Z<m>^<k>)")
-        base = int(m.group(1))
-        power = int(m.group(2)) if m.group(2) else 1
+            raise ValueError(f"bad group factor {_echo(token)} in {_echo(text)} (expected Z<m> or Z<m>^<k>)")
+        past_cap = f"group factor {_echo(token)} takes the order past the 64-bit index cap {MAX_ORDER}"
+        digits = [d.lstrip("0") or "0" for d in (m.group(1), m.group(2) or "1")]
+        if max(map(len, digits)) > _MAX_DIGITS:
+            raise ValueError(past_cap)
+        base, power = map(int, digits)
         if base < 1:
-            raise ValueError(f"bad group factor {token!r}: modulus must be >= 1")
+            raise ValueError(f"bad group factor {_echo(token)}: modulus must be >= 1")
         if power < 1:
-            raise ValueError(f"bad group factor {token!r}: exponent must be >= 1")
+            raise ValueError(f"bad group factor {_echo(token)}: exponent must be >= 1")
         # base^power >= 2^(power (bits - 1)), so base**power is formed only below 2^125.
         if base > 1 and (power * (base.bit_length() - 1) >= 63 or (order := order * base**power) > MAX_ORDER):
-            raise ValueError(f"group factor {token!r} takes the order past the 64-bit index cap {MAX_ORDER}")
+            raise ValueError(past_cap)
         moduli.extend([base] * power)
     return make_group(moduli)
 
@@ -291,14 +303,22 @@ def character_phases(
     return _phases(group, table, _element_coords(group, label))
 
 
-def _annihilated(group: AbelianGroup, labels: Iterable[int], elements: np.ndarray | None = None) -> np.ndarray:
+def _annihilated(group: AbelianGroup, labels: Indices, elements: np.ndarray | None = None) -> np.ndarray:
     # The elements x (every element by default) with chi_l(x) = 1 for every given label l, in exact
-    # integer arithmetic and in their given order.  Each label filters only the survivors so far;
-    # the elements are checked indices already, so only the labels are validated.
+    # integer arithmetic and in their given order.  The labels are taken in passes, each pairing
+    # the survivors S so far with the next |G| // |S| labels, so no phase matrix has more than |G|
+    # entries.  Distinct labels take O(log L) passes: the L' labels read so far lie in the
+    # annihilator of S, so L' <= |G| / |S| and each pass at least doubles them.  The elements are
+    # checked indices already, so only the labels are validated.
+    labels = group._checked(labels).reshape(-1)
     survivors = elements
-    for label in labels:
+    start = 0
+    while start < len(labels) and (survivors is None or len(survivors)):
+        size = group.order if survivors is None else len(survivors)
+        block = labels[start : start + group.order // size]
+        start += len(block)
         table = group.coords_table if survivors is None else group._coords(survivors)
-        zero = _phases(group, table, group.coords_of(label)) == 0
+        zero = (_phases(group, table, group._coords(block)) == 0).all(axis=1)
         survivors = np.flatnonzero(zero) if survivors is None else survivors[zero]
     return np.arange(group.order, dtype=np.int64) if survivors is None else survivors
 
@@ -312,13 +332,12 @@ class Subgroup:
     subgroup: it closes the set under the greedy generators below and rejects it if the closure
     is larger.  That costs about one translate per member plus one sort per doubling of the
     closure, in memory that grows with the subgroup's order, not the group's.  The levels of
-    build_tower are subgroups by construction and skip this check (see _built).
+    build_tower, and the stabilisers find_period has checked its own way, skip this check (see
+    _built).
     """
 
     parent: AbelianGroup
     members: tuple[int, ...]
-    # Greedy generators, found while checking closure.
-    _generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # The members as a read-only sorted int64 array.
     _indices: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -340,18 +359,27 @@ class Subgroup:
         vars(self).update(members=tuple(idx.tolist()), _generators=tuple(gens), _indices=idx)
 
     @classmethod
-    def _built(cls, parent: AbelianGroup, members: np.ndarray, generators: tuple[int, ...]) -> Subgroup:
-        # A subgroup by construction, from its sorted distinct int64 member indices and its greedy
-        # generators: the fields __post_init__ sets, with no closure.
+    def _built(
+        cls, parent: AbelianGroup, members: np.ndarray, generators: tuple[int, ...] | None = None
+    ) -> Subgroup:
+        # A subgroup by construction, from its sorted distinct int64 member indices and, when the
+        # caller knows them, its greedy generators: the fields __post_init__ sets, with no closure.
         members.setflags(write=False)
         built = object.__new__(cls)
-        vars(built).update(parent=parent, members=tuple(members.tolist()), _generators=generators,
-                           _indices=members)
+        vars(built).update(parent=parent, members=tuple(members.tolist()), _indices=members)
+        if generators is not None:
+            vars(built)["_generators"] = generators
         return built
 
     @cached_property
     def order(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        # Greedy generators, found while checking closure, or for a _built subgroup given no
+        # generators, the first time something reads them: the same ones.
+        return tuple(_greedy_closure(self.parent, self._indices, limit=len(self._indices))[0])
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set of member indices, chosen greedily."""
@@ -473,6 +501,10 @@ def annihilator(group: AbelianGroup, elements: Subgroup | Iterable[int]) -> Subg
         idxs: Iterable[int] = elements.generators()
     else:
         idxs = sorted(set(elements))
+        # Refused one by one: as an array, True would read as 1.
+        bad = next((e for e in idxs if not _is_int(e)), None)
+        if bad is not None:
+            raise ValueError(f"element index {bad!r} is not an integer")
     return Subgroup(group, _annihilated(group, idxs))
 
 

@@ -30,16 +30,23 @@ one per value of the value register (its top qubits), each row the group
 register that value leaves.  It builds the state, the network and the value
 register's law, each row's probability, up front, and the label laws of the
 values a block reads for the first time, their rows normalised, in one run over
-the stacked rows: at most |G|/|K| laws in all, each bit for bit the law of its
-row run alone.
+the stacked rows, and their cdfs in one row-wise cumulative sum: at most |G|/|K|
+laws in all, each bit for bit the law of its row run alone.
 
 Sampling is only sound when the table is one-to-one on the cosets of its
-stabiliser K.  Then K is the preimage of f(0), so both modes take K as that
-preimage and check it once: it must be a subgroup on whose cosets f is
-one-to-one.  That check is the definition: no generator of K moves a value,
-and the table takes exactly [G:K] distinct values.  A table that fails is
-degenerate and refused.  `stabilizer_bruteforce`, which compares translates,
-is kept as the test oracle.
+stabiliser K.  Then K is the preimage P of f(0), so both modes take K as that
+preimage and check it once, with one sort and no closure.  A stable argsort
+lists the element indices by value; cut into runs of |P|, each run's first
+index leads it.  The leaders' values must be distinct, and one shift of the
+leaders by P must find each leader's value on all of leader + P.  Then the
+table takes each value on exactly one translate of P: the value classes are the
+translates of P, |P| elements apiece.  P is then a subgroup iff exactly |G|/|P|
+labels annihilate it: those labels annihilate the subgroup <P> it generates,
+which has |G| over their number members and contains P.  The same labels give
+exact mode's law, uniform on them.  A table that fails is degenerate and
+refused.  `check_nondegenerate`, `stabilizer_bruteforce` and
+`label_distribution`, which find the same from a given subgroup, by translates
+and from generators, are kept as test oracles.
 """
 from __future__ import annotations
 
@@ -143,17 +150,27 @@ def build_function_state(f: FunctionTable) -> QState:
     return QState(group_bits + value_bits, amps)
 
 
-def _nondegenerate_stabilizer(f: FunctionTable) -> Subgroup:
-    # A nondegenerate table's stabiliser is the preimage of f(0), and a preimage that is a subgroup
-    # on whose cosets f is one-to-one is the stabiliser: one check both finds and confirms it.
-    values = f._values
-    try:
-        preimage = Subgroup(f.group, np.flatnonzero(values == values[0]))
-    except ValueError:
-        preimage = None
-    if preimage is None or not check_nondegenerate(f, preimage):
+def _nondegenerate_stabilizer(f: FunctionTable) -> tuple[Subgroup, np.ndarray]:
+    # The stabiliser K of a nondegenerate table, which is the preimage P of f(0), and the labels
+    # annihilating it, in ascending order; a degenerate table is refused.  f is nondegenerate iff
+    # its value classes are the cosets of a subgroup P, each of one value.  A stable sort lists
+    # the indices by value; cut into runs of |P|, the first of each run are the leaders.  Their
+    # values must be distinct, and f must take a leader's value on that leader plus P: then
+    # ceil(|G|/|P|) distinct values take at least |P| elements each, which fits in G only if |P|
+    # divides |G| and each value class is its leader plus P.  P is then a subgroup iff exactly
+    # |G|/|P| labels annihilate it, since that is |G|/|<P>| and P lies in <P>.
+    group, values = f.group, f._values
+    preimage = np.flatnonzero(values == values[0])
+    leaders = np.argsort(values, kind="stable")[:: len(preimage)]
+    leader_values = values[leaders]
+    labels = None
+    if (leader_values[1:] != leader_values[:-1]).all() and (
+        values[group._shift(leaders[:, None], preimage)] == leader_values[:, None]
+    ).all():
+        labels = _annihilated(group, preimage[1:])
+    if labels is None or len(labels) * len(preimage) != group.order:
         raise ValueError("function table is degenerate: equal values on distinct stabiliser cosets")
-    return preimage
+    return Subgroup._built(group, preimage), labels
 
 
 def _value_rows(f: FunctionTable) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +252,13 @@ def label_distribution(group: AbelianGroup, stabilizer: Subgroup) -> np.ndarray:
     checks it against the dense transform of every coset state of every subgroup."""
     if stabilizer.parent != group:
         raise ValueError("subgroup belongs to a different group")
+    return _uniform_law(group, _annihilated(group, stabilizer.generators()))
+
+
+def _uniform_law(group: AbelianGroup, labels: np.ndarray) -> np.ndarray:
+    # The law uniform on the given distinct labels.
     law = np.zeros(group.order)
-    annihilating = _annihilated(group, stabilizer.generators())
-    law[annihilating] = 1.0 / len(annihilating)
+    law[labels] = 1.0 / len(labels)
     return law
 
 
@@ -268,8 +289,8 @@ def find_period(
     max_shots, window = int(max_shots), int(window)
     group = f.group
     _check_order(group.order, _MODE_CAPS[mode], f"{mode}-mode")
-    stabilizer = _nondegenerate_stabilizer(f)
-    draw = _label_draws(f, stabilizer, mode, rng)
+    stabilizer, annihilating = _nondegenerate_stabilizer(f)
+    draw = _label_draws(f, annihilating, mode, rng)
     labels: list[int] = []
     # The members of the candidate subgroup, filtered by each label in turn.
     candidate = np.arange(group.order, dtype=np.int64)
@@ -300,16 +321,17 @@ def find_period(
 
 
 def _label_draws(
-    f: FunctionTable, stabilizer: Subgroup, mode: str, rng: np.random.Generator
+    f: FunctionTable, annihilating: np.ndarray, mode: str, rng: np.random.Generator
 ) -> Callable[[int], np.ndarray]:
     # A function drawing the next k labels.  Each draw takes one uniform, and in simulate mode a
     # shot takes two, for its value and then its label, so the labels and the generator's state
     # are those of drawing shot by shot.  Each law is built once, before its first draw: exact
-    # mode has one; simulate mode has the value register's and, per value it reads, the law of
-    # the labels of the coset state that value leaves, all of a block's new values in one run.
+    # mode has one, uniform on the labels annihilating the stabiliser; simulate mode has the value
+    # register's and, per value it reads, the law of the labels of the coset state that value
+    # leaves, all of a block's new values in one run.
     group = f.group
     if mode == "exact":
-        cdf = _cdf(label_distribution(group, stabilizer))
+        cdf = _cdf(_uniform_law(group, annihilating))
         return lambda k: _draw(rng, cdf, k)
     rows, value_law = _value_rows(f)
     value_cdf = _cdf(value_law)
@@ -324,8 +346,7 @@ def _label_draws(
         new = [v for v in read if v not in label_cdfs]
         if new:
             states = np.stack([_group_vector(rows[v] / np.linalg.norm(rows[v]), group) for v in new])
-            for v, law in zip(new, _label_law(states, group, network)):
-                label_cdfs[v] = _cdf(law)
+            label_cdfs.update(zip(new, _cdf(_label_law(states, group, network), stacked=True)))
         labels = np.empty(k, dtype=np.intp)
         for v in read:
             at = values == v

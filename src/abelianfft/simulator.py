@@ -510,21 +510,26 @@ def _phase_run(
 _LAW_TOL = sqrt(np.finfo(np.float64).eps)
 
 
-def _cdf(law: np.ndarray) -> np.ndarray:
+def _cdf(law: np.ndarray, *, stacked: bool = False) -> np.ndarray:
     """The cumulative form of a law over 0 .. len(law) - 1, after the checks Generator.choice makes:
-    finite, non-negative entries that sum to 1 within _LAW_TOL."""
+    finite, non-negative entries that sum to 1 within _LAW_TOL.  With stacked, law is a 2-D stack
+    of laws, one per row, each checked as a law (a refused sum names the row farthest from 1),
+    and each row's cdf is bit for bit the cdf of that row alone."""
     law = np.asarray(law, dtype=np.float64)
-    if law.ndim != 1 or not law.size:
-        raise ValueError(f"a law must be a non-empty vector, got shape {law.shape}")
+    if law.ndim != 1 + stacked or not law.size:
+        shape = "2-D stack of vectors" if stacked else "vector"
+        raise ValueError(f"a law must be a non-empty {shape}, got shape {law.shape}")
     if not np.isfinite(law).all():
         raise ValueError("law has NaN or infinite entries")
     if (law < 0).any():
         raise ValueError("law has negative entries")
-    total = law.sum()
+    total = law.sum(axis=-1)
+    if stacked:
+        total = total[np.argmax(np.abs(total - 1.0))]
     if not abs(total - 1.0) <= _LAW_TOL:
         raise ValueError(f"law sums to {total!r}, expected 1")
-    cdf = law.cumsum()
-    cdf /= cdf[-1]
+    cdf = law.cumsum(axis=-1)
+    cdf /= cdf[:, -1:] if stacked else cdf[-1]
     return cdf
 
 

@@ -108,6 +108,32 @@ def test_group_spec_is_refused_by_factor_before_it_is_expanded(spec, factor):
 def test_group_spec_at_the_cap_is_accepted():
     assert parse_group_spec("Z2^62xZ1^3").order == 2**62
     assert parse_group_spec("Z9223372036854775807").order == MAX_ORDER
+    # Leading zeros are not digits of the value.
+    assert parse_group_spec("Z" + "0" * 30 + "2^" + "0" * 30 + "3").moduli == (2, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Z" + "9" * 20, "Z" + "9" * 5000, "Z2^" + "9" * 20, "Z2^" + "9" * 5000],
+    ids=["modulus of 20 digits", "modulus of 5000 digits", "exponent of 20 digits", "exponent of 5000 digits"],
+)
+def test_group_spec_with_more_digits_than_the_cap_is_refused_before_it_is_read(spec):
+    # Python refuses to read more than 4300 digits with a message that names no cap.
+    with pytest.raises(ValueError) as refused:
+        parse_group_spec(spec)
+    shown = repr(spec) if len(spec) <= 40 else f"{spec[:40]!r}..."
+    assert str(refused.value) == f"group factor {shown} takes the order past the 64-bit index cap {MAX_ORDER}"
+
+
+def test_bad_group_factor_echoes_a_bounded_prefix():
+    token = "Z" + "q" * 5000
+    with pytest.raises(ValueError) as refused:
+        parse_group_spec(f"Z2x{token}")
+    assert str(refused.value) == (
+        f"bad group factor {token[:40]!r}... in {('Z2x' + token)[:40]!r}... (expected Z<m> or Z<m>^<k>)"
+    )
+    with pytest.raises(ValueError, match=r"^bad group factor '' in 'Z2x' \(expected"):
+        parse_group_spec("Z2x")
 
 
 def test_order_past_64_bits_is_named_by_its_bit_length():
@@ -120,10 +146,17 @@ def _address_space_of_2_gib():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-# Specs whose expansion alone would take seconds or all of memory, and orders with tens of
-# thousands of digits, more than Python will format.
-@pytest.mark.parametrize("spec", ["Z2^64", "Z2^100000", "Z2^1000000", "Z2^1000000000"])
-def test_hostile_group_spec_exits_with_one_short_error_line(spec, tmp_path):
+# Specs whose expansion alone would take seconds or all of memory, orders with tens of thousands
+# of digits, more than Python will format, a modulus with more digits than Python will read, and
+# a malformed factor as long.
+@pytest.mark.parametrize(
+    "spec, named",
+    [("Z2^64", "64-bit index cap"), ("Z2^100000", "64-bit index cap"), ("Z2^1000000", "64-bit index cap"),
+     ("Z2^1000000000", "64-bit index cap"), ("Z" + "9" * 5000, "64-bit index cap"),
+     ("Z" + "q" * 5000, "bad group factor")],
+    ids=["Z2^64", "Z2^100000", "Z2^1000000", "Z2^1000000000", "Z9x5000", "Zqx5000"],
+)
+def test_hostile_group_spec_exits_with_one_short_error_line(spec, named, tmp_path):
     vector = tmp_path / "vector.json"
     vector.write_text("[[1, 0], [0, 0]]", encoding="utf-8")
     command = [sys.executable, "-m", "abelianfft.cli", "fft", "--group", spec, "--input", str(vector)]
@@ -133,4 +166,4 @@ def test_hostile_group_spec_exits_with_one_short_error_line(spec, tmp_path):
                          preexec_fn=_address_space_of_2_gib)
     lines = run.stderr.splitlines()
     assert run.returncode == 1 and run.stdout == "" and len(lines) == 1, run.stderr[:300]
-    assert lines[0].startswith("error: ") and "64-bit index cap" in lines[0] and len(lines[0]) < 300
+    assert lines[0].startswith("error: ") and named in lines[0] and len(lines[0].encode()) < 200

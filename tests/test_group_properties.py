@@ -25,12 +25,14 @@ from abelianfft import (
     check_nondegenerate,
     coset_decompose,
     fft_tower,
+    label_distribution,
     make_group,
     shift_vector,
     stabilizer_bruteforce,
     subgroup_from_generators,
     trivial_subgroup,
 )
+from abelianfft.groups import _annihilated
 from abelianfft.period import _nondegenerate_stabilizer
 
 from test_acceptance import TOL_EXACT_DIST, TOL_TRANSFORM
@@ -230,16 +232,42 @@ def test_shift_multiplies_each_spectral_line_by_its_character(case, seed):
     assert np.max(np.abs(shifted - eig * spectrum)) < TOL_EXACT_DIST
 
 
+@_SETTINGS
+@given(
+    st.one_of(groups(), st.sampled_from([(2,) * 9, (2, 4, 4), (3,) * 5, (8, 9, 5)]).map(make_group)),
+    st.data(),
+)
+def test_annihilated_in_passes_equals_one_label_at_a_time(group, data):
+    # Up to 6 random labels with repeats and the identity, or every element as a label; every
+    # element, or a given subset in a given order.  In the listed groups a random label mostly
+    # shrinks the survivors, so dropping any one label mostly changes the result.
+    element = st.integers(0, group.order - 1)
+    labels = data.draw(st.one_of(st.lists(element, max_size=6), st.just(list(range(group.order)))))
+    elements = data.draw(st.one_of(st.none(), st.lists(element, unique=True, max_size=40)))
+    if elements is not None:
+        elements = np.array(elements, dtype=np.int64)
+    want = np.arange(group.order, dtype=np.int64) if elements is None else elements
+    for label in labels:
+        want = want[character_phases(group, label, want) == 0]
+    assert np.array_equal(_annihilated(group, labels, elements), want)
+
+
 @st.composite
 def function_tables(draw):
     # Planted tables are one-to-one on the cosets of a random subgroup; merging two of their
-    # values, or drawing values at random from a small range, mostly makes them degenerate.
+    # values, or drawing values at random from a small range, mostly makes them degenerate.  Runs
+    # of b consecutive indices, b dividing |G|, are the translates of the first run on a cyclic
+    # group, where that run is a subgroup only for b = 1 or |G|; on other groups they are
+    # sometimes the cosets of a subgroup and sometimes no translates at all.
     group = draw(groups().filter(lambda group: group.order > 1))
     gens = draw(st.lists(st.integers(0, group.order - 1), max_size=2))
-    kind = draw(st.sampled_from(("planted", "merged", "random")))
+    kind = draw(st.sampled_from(("planted", "merged", "random", "runs")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
         return FunctionTable(group, rng.integers(0, draw(st.integers(1, 4)), size=group.order))
+    if kind == "runs":
+        run = draw(st.sampled_from([b for b in range(1, group.order + 1) if group.order % b == 0]))
+        return FunctionTable(group, rng.permutation(group.order // run)[np.arange(group.order) // run])
     subgroup = subgroup_from_generators(group, [group.coords_of(g) for g in gens])
     coset_of = coset_decompose(group, subgroup).coset_of
     values = rng.permutation(int(coset_of.max()) + 1)[coset_of]
@@ -254,12 +282,13 @@ def function_tables(draw):
 def test_stabiliser_route_matches_the_oracle(f):
     want = stabilizer_bruteforce(f)
     try:
-        got = _nondegenerate_stabilizer(f)
+        got, labels = _nondegenerate_stabilizer(f)
     except ValueError as error:
         assert str(error) == "function table is degenerate: equal values on distinct stabiliser cosets"
         assert not check_nondegenerate(f, want)
     else:
-        assert check_nondegenerate(f, want) and got == want
+        assert check_nondegenerate(f, want) and got == want and got.generators() == want.generators()
+        assert np.array_equal(labels, np.flatnonzero(label_distribution(f.group, want)))
 
 
 def _one_to_one_on_cosets(f: FunctionTable, subgroup) -> bool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from math import ceil, log2
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from abelianfft import (
     parse_group_spec,
     subgroup_from_generators,
 )
-from abelianfft.groups import Subgroup, character_phases, full_subgroup, trivial_subgroup
+from abelianfft import groups as groups_module
+from abelianfft.groups import Subgroup, _annihilated, character_phases, full_subgroup, trivial_subgroup
 
 from testutil import abelian_group_types
 
@@ -361,6 +363,24 @@ def test_annihilator_trivial_cases():
     g = make_group([6])
     assert annihilator(g, trivial_subgroup(g)).order == 6
     assert annihilator(g, full_subgroup(g)).members == (0,)
+
+
+@pytest.mark.parametrize("labels", [[6], [-1], [1.0], [True], [True, 2], ["1"]])
+def test_annihilator_refuses_labels_that_are_not_element_indices(labels):
+    with pytest.raises(ValueError):
+        annihilator(make_group([6]), labels)
+
+
+def test_annihilated_takes_distinct_labels_in_logarithmically_many_passes(monkeypatch):
+    # Each pass pairs the survivors with as many labels as keeps its phase matrix within |G|
+    # entries; reading the 4095 nonzero elements of Z2^12 as labels takes about log2 of them.
+    group = make_group([2] * 12)
+    shapes = []
+    inner = groups_module._phases
+    monkeypatch.setattr(groups_module, "_phases", lambda *a: (shapes.append((len(a[1]), len(a[2]))), inner(*a))[1])
+    assert _annihilated(group, np.arange(1, 4096)).tolist() == [0]
+    assert len(shapes) <= ceil(log2(4095)) + 2
+    assert all(rows * columns <= group.order for rows, columns in shapes)
 
 
 def test_enumerate_subgroups_counts():

@@ -399,7 +399,10 @@ def test_find_period_modes_agree():
 
 @pytest.mark.parametrize("mode", ["exact", "simulate"])
 def test_find_period_checks_the_table_once(monkeypatch, mode):
-    calls = {"stabilizer_bruteforce": 0, "check_nondegenerate": 0}
+    # One check of the table finds the stabiliser and, for exact mode, its law; the oracles stay
+    # out of a recovery.
+    names = ("stabilizer_bruteforce", "check_nondegenerate", "label_distribution", "_nondegenerate_stabilizer")
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         inner = getattr(period, name)
@@ -410,23 +413,28 @@ def test_find_period_checks_the_table_once(monkeypatch, mode):
 
         monkeypatch.setattr(period, name, wrapper)
 
-    counting("stabilizer_bruteforce")
-    counting("check_nondegenerate")
+    for name in names:
+        counting(name)
     result = find_period(_mod_table(12, 3), 100, np.random.default_rng(5), mode=mode)
     assert result.converged and result.subgroup.members == (0, 3, 6, 9)
-    assert calls == {"stabilizer_bruteforce": 0, "check_nondegenerate": 1}
+    assert calls == {**dict.fromkeys(names, 0), "_nondegenerate_stabilizer": 1}
 
 
 def test_converged_recovery_returns_the_checked_stabiliser(monkeypatch):
-    # The preimage of f(0) is checked once as a subgroup; a recovery that ends on its members
-    # returns that object instead of checking the same members again.
+    # The preimage of f(0) is checked once, with no closure; a recovery that ends on its members
+    # returns that object instead of checking the same members again.  Its generators, found when
+    # first read, are the greedy ones a closure finds.
     f, planted = _planted_table([1024], [(64,)])
-    calls = []
+    calls, checked = [], []
     check = Subgroup.__post_init__
     monkeypatch.setattr(Subgroup, "__post_init__", lambda self: (calls.append(self), check(self))[1])
+    inner = period._nondegenerate_stabilizer
+    monkeypatch.setattr(period, "_nondegenerate_stabilizer", lambda f: checked.append(inner(f)) or checked[-1])
     result = find_period(f, 200, np.random.default_rng(11))
     assert result.converged and result.subgroup == planted
-    assert calls == [result.subgroup]
+    assert calls == [] and len(checked) == 1 and result.subgroup is checked[0][0]
+    assert "_generators" not in vars(result.subgroup)
+    assert result.subgroup.generators() == planted.generators()
 
 
 def test_recovery_never_calls_the_oracle(monkeypatch):
@@ -447,6 +455,28 @@ def test_recovery_never_calls_the_oracle(monkeypatch):
     collide = FunctionTable(make_group([4]), (0, 1, 0, 2))
     with pytest.raises(ValueError, match="function table is degenerate"):
         find_period(collide, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(0, 0, 1, 1, 0, 0, 1, 1), (0, 1, 1, 0, 2, 2), (0, 1, 0, 2), (0, 1, 1, 1), (0, 0, 1)],
+    ids=["preimage not a subgroup", "value classes not cosets", "class of two values", "value of two classes",
+         "preimage not dividing the order"],
+)
+def test_degenerate_tables_refused(values):
+    # On Z8 the preimage P = {0, 1, 4, 5} of f(0) and the other class {2, 3, 6, 7} = 2 + P tile
+    # the group, but P is no subgroup (1 + 1 = 2), which only the count of labels annihilating P
+    # shows.  On Z6 each class has |P| = 2 members, but the class of 1 is {1, 2}, not 1 + P, and on
+    # Z4 1 + P = {1, 3} holds two values: f must take a leader's value on the leader plus P.  On Z4
+    # with P = {0} the value 1 leads three runs of |P|, but leaders must have distinct values.  On
+    # Z3, |P| = 2 does not divide 3.
+    f = FunctionTable(make_group([len(values)]), values)
+    assert not check_nondegenerate(f, stabilizer_bruteforce(f))
+    for mode in ("exact", "simulate"):
+        with pytest.raises(ValueError, match="^function table is degenerate"):
+            find_period(f, 10, np.random.default_rng(0), mode=mode)
+    with pytest.raises(ValueError, match="^function table is degenerate"):
+        sample_coset_state(f, np.random.default_rng(0))
 
 
 def test_find_period_simulate_labels_pinned():
@@ -559,7 +589,7 @@ def _one_label_recovery(f, max_shots, rng, mode, window):
     # law built from its row alone the first time it is read, and the candidate filtered by one
     # label at a time.  Returns the labels, whether it converged and the candidate's members.
     group = f.group
-    stabilizer = period._nondegenerate_stabilizer(f)
+    stabilizer, _ = period._nondegenerate_stabilizer(f)
 
     def labels():
         if mode == "exact":

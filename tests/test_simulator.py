@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -376,6 +377,32 @@ def test_cdf_refuses_the_laws_choice_refuses(law):
         np.random.default_rng(0).choice(len(law), p=law)
     with pytest.raises(ValueError):
         simulator._cdf(law)
+
+
+def test_stacked_cdf_is_each_row_alone():
+    source = np.random.default_rng(7)
+    for n in (1, 2, 37, 256):
+        laws = np.stack([_random_law(source, n) for _ in range(5)])
+        stacked = simulator._cdf(laws, stacked=True)
+        assert [row.tobytes() for row in stacked] == [simulator._cdf(law).tobytes() for law in laws]
+
+
+@pytest.mark.parametrize(
+    "law",
+    [[np.nan, 1.0], [np.inf, 0.0], [-0.25, 1.25], [0.5, 0.4], [0.5, 0.5 + 1e-7]],
+    ids=["NaN", "infinite", "negative", "short sum", "long sum"],
+)
+def test_stacked_cdf_refuses_a_bad_row_as_alone(law):
+    with pytest.raises(ValueError) as alone:
+        simulator._cdf(law)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+        simulator._cdf([[0.5, 0.5], law], stacked=True)
+
+
+@pytest.mark.parametrize("shape", [(2,), (0, 2), (2, 0), (1, 1, 1)])
+def test_stacked_cdf_refuses_a_shape_that_is_not_a_stack(shape):
+    with pytest.raises(ValueError, match="^a law must be a non-empty 2-D stack of vectors"):
+        simulator._cdf(np.ones(shape), stacked=True)
 
 
 def test_cdf_accepts_the_rounding_choice_accepts():
