@@ -225,6 +225,9 @@ _FACTOR_RE = re.compile(r"^[Zz](\d+)(?:\^(\d+))?$")
 _MAX_DIGITS = len(str(MAX_ORDER))
 # A spec comes from outside and has no length bound, so a message echoes at most this much of it.
 _ECHOED = 40
+# Most cyclic factors a spec may list, exponents included.  The order cap leaves room for at most
+# 62 factors other than Z1; Z1 factors leave the order alone, so only this stops `Z1^1000000`.
+_SPEC_RANK_CAP = 128
 
 
 def _echo(text: str) -> str:
@@ -233,7 +236,8 @@ def _echo(text: str) -> str:
 
 def parse_group_spec(text: str) -> AbelianGroup:
     """Parse a group description like "Z4", "Z2xZ3" or "Z2^3".  A factor that takes the order
-    past MAX_ORDER is refused by name before the moduli are expanded."""
+    past MAX_ORDER, or the factor count past _SPEC_RANK_CAP, is refused by name before the moduli
+    are expanded."""
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty group description")
@@ -255,6 +259,8 @@ def parse_group_spec(text: str) -> AbelianGroup:
         # base^power >= 2^(power (bits - 1)), so base**power is formed only below 2^125.
         if base > 1 and (power * (base.bit_length() - 1) >= 63 or (order := order * base**power) > MAX_ORDER):
             raise ValueError(past_cap)
+        if len(moduli) + power > _SPEC_RANK_CAP:
+            raise ValueError(f"group factor {_echo(token)} takes the rank past the factor cap {_SPEC_RANK_CAP}")
         moduli.extend([base] * power)
     return make_group(moduli)
 

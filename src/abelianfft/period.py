@@ -60,7 +60,7 @@ from .dense import apply_dense
 from .groups import AbelianGroup, Subgroup, _annihilated, _check_order, _is_int, _phases, annihilator
 from .qft_circuit import GateList, _run_network, compile_qft
 from .simulator import (
-    STATE_CAP, _DRAW_BLOCK, _NORM_TOL, QState, _cdf, _check_unit_norm, _draw, _probabilities,
+    STATE_CAP, _DRAW_BLOCK, _NORM_TOL, QState, _cdf, _check_shot_cap, _check_unit_norm, _draw, _probabilities,
 )
 
 # Group order caps for the two sampling routes.
@@ -88,7 +88,11 @@ class FunctionTable:
         raw = np.asarray(self.values)
         if raw.shape != (self.group.order,):
             raise ValueError(f"table has {len(raw)} entries, group has order {self.group.order}")
-        if raw.dtype.kind not in "biu" or raw.max() > np.iinfo(np.int64).max:
+        # numpy reads (0, True) as int64, so a sequence's own elements are searched for bools.
+        types = {raw.dtype.type} if isinstance(self.values, np.ndarray) else set(map(type, self.values))
+        if not types.isdisjoint((bool, np.bool_)):
+            raise ValueError("table values must be integers, not bools")
+        if raw.dtype.kind not in "iu" or raw.max() > np.iinfo(np.int64).max:
             raise ValueError(f"table values must be integers in the int64 range, got dtype {raw.dtype}")
         values = raw.astype(np.int64)
         if (values < 0).any():
@@ -225,25 +229,23 @@ def fourier_sample(
     """Transform the group register and read it: a list of label indices."""
     if not _is_int(shots) or shots < 1:
         raise ValueError(f"shot count {shots!r} must be a positive integer")
+    _check_shot_cap(shots)
     law = _label_law(_group_vector(coset_state, group)[None], group, _network(group))[0]
     return _draw(rng, _cdf(law), int(shots)).tolist()
 
 
 def _label_law(rows: np.ndarray, group: AbelianGroup, network: GateList | None) -> np.ndarray:
     # The Born law of the transformed group register for each row of a (B, |G|) array of states,
-    # by the network when there is one.  Row by row this is bit for bit the law of that row run
-    # alone: the network's kernels give each row of the stacked buffer the same arithmetic, the
-    # dense route transforms one row at a time (a matrix product would round differently), and
-    # each law is normalised by its own sum.
+    # by the network when there is one, bit for bit the law of that row run alone: the network's
+    # kernels give each stacked row the same arithmetic, the dense route transforms one row at a
+    # time (a matrix product would round differently), and each law is normalised by its own sum.
     _check_unit_norm(rows, "group register")
     if network is not None:
         spectra = _run_network(network, rows)
         _check_unit_norm(spectra, "state")
     else:
         spectra = np.stack([apply_dense(group, row) for row in rows])
-    probs = np.abs(spectra) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    return _probabilities(spectra)
 
 
 def label_distribution(group: AbelianGroup, stabilizer: Subgroup) -> np.ndarray:

@@ -4,8 +4,9 @@ The network is built one recursion level at a time.  Level k acts on the top k
 wires (m-k .. m-1): conditional phases between the level's low wire and each
 higher wire, one Hadamard on the low wire, then a cyclic relabelling that
 sends the low wire's content to the top.  With reorder "swaps" every
-relabelling is m-1 explicit adjacent swaps; with "relabel" (the default) the
-swaps are deferred into a recorded final wire permutation.
+relabelling is explicit adjacent swaps; "relabel" (the default) is that network
+with its swaps deferred by the simulator's one relabelling rule, `_relabelled`,
+into a recorded final wire permutation.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from functools import cache
 import numpy as np
 
 from .groups import _is_int
-from .simulator import Gate, Program, QState, _check_width, _run_gates, cphase, hadamard, swap_gate
+from .simulator import Gate, Program, QState, _check_width, _named_gate, _relabelled, _run_gates
+from .simulator import cphase, hadamard, swap_gate
 
 REORDER_MODES = ("swaps", "relabel")
 
@@ -63,23 +65,20 @@ def compile_qft(m: int, reorder_mode: str = "relabel") -> GateList:
 @cache
 def _build_network(m: int, reorder_mode: str) -> GateList:
     # Called only with checked inputs, so the cache holds at most STATE_CAP * 2 networks.  The
-    # network on fixed wires, innermost level first.  wire_of[x] is where the content of
-    # fixed-network wire x currently lives.  Gates are emitted on the mapped wires; with deferred
-    # reordering swaps only update the map.
-    gates: list[Gate] = []
-    wire_of = list(range(m))
+    # network on fixed wires, innermost level first; relabel mode defers its SWAPs (_relabelled).
+    network: list[Gate] = []
     for k in range(1, m + 1):
         base = m - k
         for p in range(1, k):
             # diag(1,1,1, w^(2^(p-1))) with w = exp(2 pi i / 2^k) is a phase of 2 pi / 2^(k-p+1).
-            gates.append(cphase(wire_of[base], wire_of[base + p], exponent=k - p + 1))
-        gates.append(hadamard(wire_of[base]))
-        for a in range(base, m - 1):
-            if reorder_mode == "swaps":
-                gates.append(swap_gate(a, a + 1))
-            else:
-                wire_of[a], wire_of[a + 1] = wire_of[a + 1], wire_of[a]
-    return GateList(m, tuple(gates), reorder_mode, tuple(wire_of))
+            network.append(cphase(base, base + p, exponent=k - p + 1))
+        network.append(hadamard(base))
+        network += [swap_gate(a, a + 1) for a in range(base, m - 1)]
+    if reorder_mode == "swaps":
+        return GateList(m, tuple(network), reorder_mode, tuple(range(m)))
+    steps, wire_of = _relabelled(network)
+    gates = tuple([_named_gate(gate.name, targets, gate.param) for gate, targets in steps])
+    return GateList(m, gates, reorder_mode, tuple([wire_of.get(x, x) for x in range(m)]))
 
 
 def gate_count(m: int, reorder_mode: str = "relabel") -> GateCountReport:

@@ -434,41 +434,47 @@ _HALF_RUN_GATES = 3
 _HALF_RUN_WIRES = 12
 
 
-def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
-    """Run the gates in order, in place, on a writable contiguous buffer of one 2^n-amplitude
-    state or a (B, 2^n) stack of them, by the kernel each gate's name picks: CPHASE the phase, X
-    and CNOT the exchange, H its own butterfly and other 2x2 gates the blocked butterfly, raw 4x4
-    gates the blocked product through one workspace made at the first of them.  Consecutive
-    CPHASE gates that share a wire run together on that wire's set half (_phase_half).  A SWAP
-    moves no amplitude: it relabels its two wires, and every later gate runs on the wires its
-    targets now live on.  After the last gate each cycle of displaced wires is put back by
-    exchanges, at most n - 1 in all, so the buffer ends as a SWAP-by-SWAP run leaves it.  B
-    stacked states each run as they would alone: every kernel works on its target bits only, with
-    the same arithmetic on each amplitude, and only wires below n are relabelled."""
-    gather = amps.shape[-1] >= 1 << _HALF_RUN_WIRES
-    amps = amps.reshape(-1)
-    workspace = None
-    # wire_of[w] is the wire that holds the content of wire w, for every wire a SWAP has moved.
+def _relabelled(gates: Sequence[Gate]) -> tuple[list[tuple[Gate, tuple[int, ...]]], dict[int, int]]:
+    """The one SWAP rule: a SWAP moves no amplitude, it relabels its two wires.  Every other gate,
+    with the wires its targets live on after the SWAPs before it, and wire_of[w], the wire that
+    holds the content of wire w, for every wire a SWAP has moved."""
+    steps = []
     wire_of: dict[int, int] = {}
-    at = 0
-    while at < len(gates):
-        gate = gates[at]
-        at += 1
+    for gate in gates:
         targets = tuple([wire_of.get(t, t) for t in gate.targets]) if wire_of else gate.targets
         if gate.name == "SWAP":
             wire_of[gate.targets[0]], wire_of[gate.targets[1]] = targets[1], targets[0]
-            continue
+        else:
+            steps.append((gate, targets))
+    return steps, wire_of
+
+
+def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
+    """Run the gates in order, in place, on a writable contiguous buffer of one 2^n-amplitude
+    state or a (B, 2^n) stack of them.  SWAPs only relabel wires (_relabelled); every other gate
+    runs on the wires its targets then live on, by the kernel its name picks: CPHASE the phase
+    (consecutive ones sharing a wire on that wire's set half, _phase_half), X and CNOT the exchange,
+    H its own butterfly, other 2x2 gates the blocked butterfly, raw 4x4 gates the blocked product
+    through one workspace made at the first of them.  Exchanges then put back each cycle of
+    displaced wires, at most n - 1 in all, as a SWAP-by-SWAP run leaves the buffer.  B stacked
+    states each run as they would alone: every kernel works on its target bits only, with the
+    same arithmetic on each amplitude, and only wires below n are relabelled."""
+    gather = amps.shape[-1] >= 1 << _HALF_RUN_WIRES
+    amps = amps.reshape(-1)
+    workspace = None
+    steps, wire_of = _relabelled(gates)
+    at = 0
+    while at < len(steps):
+        gate, targets = steps[at]
         if gate.name == "CPHASE":
-            if gather:
-                wire, run, at = _phase_run(gates, at, targets, wire_of)
-            else:
-                wire, run = None, [(targets, gate.matrix[3, 3])]
-            if len(run) >= _HALF_RUN_GATES:
+            wire, run, at = _phase_run(steps, at)
+            if gather and len(run) >= _HALF_RUN_GATES:
                 _phase_half(amps, wire, [(a if a != wire else b, phase) for (a, b), phase in run])
             else:
                 for pair, phase in run:
                     _phase(_wire_view(amps, pair), phase)
             continue
+        at += 1
         exchanged = _NAMED.get(gate.name, (None, None))[1]
         if exchanged:
             _exchange(_wire_view(amps, targets), *exchanged)
@@ -489,19 +495,17 @@ def _run_gates(amps: np.ndarray, gates: Sequence[Gate]) -> None:
 
 
 def _phase_run(
-    gates: Sequence[Gate], at: int, targets: tuple[int, ...], wire_of: dict[int, int]
+    steps: Sequence[tuple[Gate, tuple[int, ...]]], at: int
 ) -> tuple[int, list[tuple[tuple[int, ...], complex]], int]:
-    """The run of CPHASE gates that starts with the one just read, on these (relabelled) targets,
-    and goes on from gates[at] while one wire is common to all: that wire, each gate's targets
-    and phase, and the index past the run."""
-    run = [(targets, gates[at - 1].matrix[3, 3])]
-    shared = set(targets)
-    while at < len(gates) and gates[at].name == "CPHASE":
-        pair = tuple([wire_of.get(t, t) for t in gates[at].targets])
+    """The run of CPHASE steps from steps[at] on while one wire is common to all their (relabelled)
+    targets: that wire, each gate's targets and phase, and the index past the run."""
+    shared, run = set(steps[at][1]), []
+    while at < len(steps) and steps[at][0].name == "CPHASE":
+        gate, pair = steps[at]
         if shared.isdisjoint(pair):
             break
         shared.intersection_update(pair)
-        run.append((pair, gates[at].matrix[3, 3]))
+        run.append((pair, gate.matrix[3, 3]))
         at += 1
     return min(shared), run, at
 
@@ -543,10 +547,10 @@ def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int | None = None) ->
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:
-    # The amplitudes of a QState, whose norm is already checked.
+    # The Born law of a state, or of each row of a stack of states, whose norms are already checked.
     p = np.abs(amps)
     p *= p
-    p /= p.sum()
+    p /= p.sum(axis=-1, keepdims=True)
     return p
 
 

@@ -15,7 +15,7 @@ from abelianfft import (
     DENSE_CAP, STATE_CAP, FunctionTable, dense_fourier_matrix, find_period, make_group, parse_group_spec,
 )
 from abelianfft.cli import main
-from abelianfft.groups import MAX_ORDER
+from abelianfft.groups import MAX_ORDER, _SPEC_RANK_CAP
 from abelianfft.period import EXACT_CAP, SIMULATE_CAP
 from abelianfft.simulator import SHOT_CAP, new_state, sample
 
@@ -105,6 +105,22 @@ def test_group_spec_is_refused_by_factor_before_it_is_expanded(spec, factor):
     assert str(refused.value) == f"group factor {factor!r} takes the order past the 64-bit index cap {MAX_ORDER}"
 
 
+@pytest.mark.parametrize("spec, factor", [("Z1^129", "Z1^129"), ("Z2xZ1^1000000", "Z1^1000000"),
+                                          ("Z1^100xZ2^28xZ5", "Z5"), ("x".join(["Z1"] * 200), "Z1")])
+def test_group_spec_past_the_factor_cap_is_refused_by_factor(spec, factor):
+    with pytest.raises(ValueError) as refused:
+        parse_group_spec(spec)
+    assert str(refused.value) == f"group factor {factor!r} takes the rank past the factor cap {_SPEC_RANK_CAP}"
+
+
+def test_group_spec_at_the_factor_cap_is_accepted():
+    # A spec past both caps, such as Z2^1000000, is named by the order cap (the hostile specs below).
+    assert _SPEC_RANK_CAP == 128
+    assert len(parse_group_spec("Z1^128").moduli) == len(parse_group_spec("Z2^62xZ1^66").moduli) == 128
+    # make_group itself has no rank bound.
+    assert make_group([1] * 1000).order == 1
+
+
 def test_group_spec_at_the_cap_is_accepted():
     assert parse_group_spec("Z2^62xZ1^3").order == 2**62
     assert parse_group_spec("Z9223372036854775807").order == MAX_ORDER
@@ -153,8 +169,8 @@ def _address_space_of_2_gib():
     "spec, named",
     [("Z2^64", "64-bit index cap"), ("Z2^100000", "64-bit index cap"), ("Z2^1000000", "64-bit index cap"),
      ("Z2^1000000000", "64-bit index cap"), ("Z" + "9" * 5000, "64-bit index cap"),
-     ("Z" + "q" * 5000, "bad group factor")],
-    ids=["Z2^64", "Z2^100000", "Z2^1000000", "Z2^1000000000", "Z9x5000", "Zqx5000"],
+     ("Z" + "q" * 5000, "bad group factor"), ("Z2xZ1^1000000", "factor cap")],
+    ids=["Z2^64", "Z2^100000", "Z2^1000000", "Z2^1000000000", "Z9x5000", "Zqx5000", "Z2xZ1^1000000"],
 )
 def test_hostile_group_spec_exits_with_one_short_error_line(spec, named, tmp_path):
     vector = tmp_path / "vector.json"

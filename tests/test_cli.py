@@ -128,6 +128,13 @@ def test_fft_method_domain_errors(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+def test_fft_tower_refuses_the_trivial_group(tmp_path, capsys):
+    vec_one = _write_vector(tmp_path / "one.json", np.ones(1))
+    code, out, err = _run(capsys, "fft", "--group", "Z1", "--input", vec_one, "--method", "tower")
+    assert (code, out, err) == (1, "", "error: tower method needs a group of order at least 2\n")
+    assert _run_json(capsys, "fft", "--group", "Z1", "--input", vec_one)["spectrum"] == [[1.0, 0.0]]
+
+
 def test_fft_rejects_malformed_vector(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[[1.0], [2.0, 0.0]]")

@@ -183,6 +183,50 @@ def test_the_network_takes_the_gathered_half(monkeypatch):
     assert calls == {"half": 0, "phase": 55}
 
 
+@pytest.fixture
+def halves(monkeypatch):
+    # The wire and the other wires of every run that goes through _phase_half.
+    calls = []
+    half = simulator._phase_half
+
+    def recorded(amps, wire, phases):
+        calls.append((wire, [other for other, _ in phases]))
+        half(amps, wire, phases)
+
+    monkeypatch.setattr(simulator, "_phase_half", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_a_cphase_on_other_wires_ends_the_run(n, halves):
+    # Each run stops at the first CPHASE that shares no wire with it; the last one, alone, runs as
+    # one _phase.  The first run's first two gates share both wires.
+    gates = (cphase(3, 0, 2), cphase(0, 3, 5), cphase(3, 1, 3), cphase(2, 3, 7), cphase(5, 6, 1), cphase(7, 5, 4),
+             cphase(5, n - 1, 9), cphase(9, 10, 2))
+    for amps in _states(n):
+        want, got = _oracle_run(amps.copy(), gates), amps.copy()
+        simulator._run_gates(got, gates)
+        assert got.tobytes() == want.tobytes(), n
+    assert halves == [(3, [0, 0, 1, 2]), (5, [6, 7, n - 1])] * 2
+
+
+def test_a_cphase_run_split_by_a_swap_is_one_run(halves):
+    # The SWAP moves no amplitude: wire 7 then holds wire 3's content, so the two CPHASE gates on
+    # wire 7 after it act on wire 3 and join the run before it.
+    n = 12
+    gates = (cphase(3, 0, 2), cphase(3, 1, 3), swap_gate(3, 7), cphase(7, 2, 4), cphase(4, 7, 6), hadamard(7))
+    steps, wire_of = simulator._relabelled(gates)
+    assert [(gate.name, targets) for gate, targets in steps] == [
+        ("CPHASE", (3, 0)), ("CPHASE", (3, 1)), ("CPHASE", (3, 2)), ("CPHASE", (4, 3)), ("H", (3,))
+    ]
+    assert wire_of == {3: 7, 7: 3}
+    for amps in _states(n):
+        want, got = _oracle_run(amps.copy(), gates), amps.copy()
+        simulator._run_gates(got, gates)
+        assert got.tobytes() == want.tobytes()
+    assert halves == [(3, [0, 1, 2, 4])] * 2
+
+
 def test_cphase_run_and_exchanges_allocate_under_one_mib_at_22_qubits():
     n = 22
     amps = np.zeros(1 << n, dtype=np.complex128)

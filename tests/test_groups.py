@@ -359,6 +359,15 @@ def test_annihilator_sizes_and_duality():
             assert annihilator(group, ann).members == sub.members
 
 
+def test_subgroup_of_another_group_is_refused():
+    z4, z2 = make_group([4]), make_group([2, 2])
+    for foreign in (full_subgroup(z2), Subgroup(make_group([4, 1]), (0, 2))):
+        with pytest.raises(ValueError, match="^subgroup belongs to a different group$"):
+            coset_decompose(z4, foreign)
+        with pytest.raises(ValueError, match="^subgroup belongs to a different group$"):
+            annihilator(z4, foreign)
+
+
 def test_annihilator_trivial_cases():
     g = make_group([6])
     assert annihilator(g, trivial_subgroup(g)).order == 6

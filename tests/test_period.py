@@ -83,7 +83,23 @@ def test_function_table_keeps_a_tuple_and_a_read_only_array():
     assert f.values == (3, 1, 3, 1) and all(type(v) is int for v in f.values)
     assert f == FunctionTable(g, (3, 1, 3, 1)) and hash(f) == hash(FunctionTable(g, [3, 1, 3, 1]))
     assert f._values.dtype == np.int64 and not f._values.flags.writeable
-    assert FunctionTable(g, (True, False, True, False)).values == (1, 0, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(True, False), (0, True), [np.True_, 0], np.array([True, False])],
+    ids=["bool tuple", "int and bool", "numpy bool in a list", "bool array"],
+)
+def test_function_table_refuses_bools(values):
+    # numpy reads (0, True) as int64: the bool is found among the sequence's own elements.
+    with pytest.raises(ValueError, match="^table values must be integers, not bools$"):
+        FunctionTable(make_group([2]), values)
+
+
+def test_function_table_still_takes_int_arrays_and_two_to_one_tables():
+    assert FunctionTable(make_group([2]), np.array([1, 0], dtype=np.int64)).values == (1, 0)
+    f = two_to_one_table(4, 5, np.random.default_rng(0))
+    assert FunctionTable(f.group, f._values).values == f.values
 
 
 def test_check_nondegenerate():
@@ -300,6 +316,20 @@ def test_fourier_sample_validation():
         fourier_sample(bad_tail, g, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         fourier_sample(np.ones(5) / np.sqrt(5), g, 1, np.random.default_rng(0))
+
+
+def test_fourier_sample_refuses_shots_past_the_cap_before_the_law(monkeypatch):
+    # rng.random(2**40) would ask numpy for 8 TiB; the count is refused before any law or draw.
+    def unreachable(*args):
+        raise AssertionError("the label law was built")
+
+    monkeypatch.setattr(period, "_label_law", unreachable)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for shots in (simulator.SHOT_CAP + 1, 2**40):
+        with pytest.raises(ValueError, match=f"^shot count {shots} exceeds the shot cap {simulator.SHOT_CAP}$"):
+            fourier_sample(np.array([1.0, 0.0]), make_group([2]), shots, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_fourier_sample_rejects_nan():

@@ -181,6 +181,28 @@ def test_compiled_programs_pinned(mode):
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == _PROGRAM_DIGESTS[mode][m - 1], m
 
 
+# Every network the simulator can run: each gate's name, targets and param in order, and the final
+# permutation, as repr prints them, so a numpy integer in place of an int changes the digest too.
+_NETWORK_DIGESTS = {
+    "swaps": ("71c11bd2a8b9", "4cd383556c16", "4434b6a82bc2", "cc3cef23462c", "d3e784b56228", "29d32edf25c2",
+              "ae9790dcf114", "a2edd5e34359", "cab069feafcc", "561deecb2af5", "c90d1927113a", "d57608cb440e",
+              "894f0fa46e62", "74e8dfc3c696", "80f8707ab0b3", "fe80c30598c7", "9eea33e43208", "62ae6677c4da",
+              "d8c294f6cb8c", "9cda7f8ac9b6", "19303c92907a", "acbca4719561", "68b36cbbfc2f", "c47a4827a947"),
+    "relabel": ("71c11bd2a8b9", "b19361612139", "55d93f79da97", "c0a7c2b75c85", "3143ea7dabcb", "d1fe2ba5ec69",
+                "1eb9e24ecd30", "33b49c185a0f", "f8eac2419eb3", "71bcc62aafe0", "aee81d961d8e", "d0dfda34dfab",
+                "034ef48c553a", "788e62901579", "701513fd1eb3", "5c58cab3f3c3", "91d3fcfab6f7", "60391046d692",
+                "c8342298ca05", "330c47d7fab3", "0fa8573b0f8b", "b23cfc913ac0", "929d38f89b63", "ad8713a1c708"),
+}
+
+
+@pytest.mark.parametrize("mode", REORDER_MODES)
+def test_every_network_pinned(mode):
+    for m in range(1, 25):
+        compiled = compile_qft(m, mode)
+        text = repr(([(g.name, g.targets, g.param) for g in compiled.gates], compiled.final_permutation))
+        assert hashlib.sha256(text.encode()).hexdigest()[:12] == _NETWORK_DIGESTS[mode][m - 1], m
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_apply_qft_equals_gate_by_gate(m):
     rng = np.random.default_rng(100 + m)
